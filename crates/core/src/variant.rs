@@ -300,12 +300,88 @@ pub fn specialized_variant(
     tech: &TechModel,
     extra_kinds: &BTreeSet<OpKind>,
 ) -> Result<PeVariant, ApexError> {
+    let mut ranking = Ranking::new(analysis_apps, miner, selection.clone());
+    ranked_variant(
+        name,
+        eval_apps,
+        selection,
+        merge_opts,
+        tech,
+        extra_kinds,
+        &mut ranking,
+    )
+}
+
+/// One analysis application's ranked subgraphs, or why it has none: a
+/// mining error, or a panic the job pool caught.
+type Ranked = Result<Result<(Vec<MinedSubgraph>, Provenance), MineError>, JobPanic>;
+
+/// The ranked subgraphs of a set of analysis applications, computed at
+/// most once and only when a build needs them. A search over one
+/// application (the ladder, PE Spec) ranks `depth` subgraphs once and
+/// builds step `k` from the first `k`; a warm search, whose every step hits
+/// the variant cache, mines nothing.
+struct Ranking<'a> {
+    apps: &'a [&'a Application],
+    miner: &'a MinerConfig,
+    /// The selection ranked with; its `per_app` is the deepest step.
+    depth: SubgraphSelection,
+    ranked: Option<Vec<(&'a Application, Ranked)>>,
+}
+
+impl<'a> Ranking<'a> {
+    fn new(apps: &'a [&'a Application], miner: &'a MinerConfig, depth: SubgraphSelection) -> Self {
+        Ranking {
+            apps,
+            miner,
+            depth,
+            ranked: None,
+        }
+    }
+
+    /// Each *distinct* application's ranking (an application listed
+    /// several times, like camera in PE IP3, is mined once). Mining is
+    /// independent per application, so it fans out over the bounded pool.
+    fn get(&mut self) -> &[(&'a Application, Ranked)] {
+        let (apps, miner, depth) = (self.apps, self.miner, &self.depth);
+        self.ranked.get_or_insert_with(|| {
+            let mut distinct: Vec<&Application> = Vec::new();
+            for &app in apps {
+                if !distinct.iter().any(|&d| std::ptr::eq(d, app)) {
+                    distinct.push(app);
+                }
+            }
+            let ranked = apex_par::par_map(apex_par::default_jobs(), &distinct, |_, app| {
+                #[cfg(feature = "fault-injection")]
+                {
+                    if apex_fault::failpoints::should_fire("core::mine_panic") {
+                        panic!("injected panic at core::mine_panic");
+                    }
+                }
+                select_subgraphs(app, miner, depth)
+            });
+            distinct.into_iter().zip(ranked).collect()
+        })
+    }
+}
+
+/// [`specialized_variant`] merging the top `selection.per_app` subgraphs
+/// of `ranking`, through the variant cache.
+fn ranked_variant(
+    name: &str,
+    eval_apps: &[&Application],
+    selection: &SubgraphSelection,
+    merge_opts: &MergeOptions,
+    tech: &TechModel,
+    extra_kinds: &BTreeSet<OpKind>,
+    ranking: &mut Ranking<'_>,
+) -> Result<PeVariant, ApexError> {
     let key = crate::cache::variant_cache_key(
         "specialized",
         name,
-        analysis_apps,
+        ranking.apps,
         eval_apps,
-        Some(miner),
+        Some(ranking.miner),
         Some(selection),
         Some(merge_opts),
         Some(tech),
@@ -314,10 +390,10 @@ pub fn specialized_variant(
     cached(key, || {
         build_specialized_variant(
             name,
-            analysis_apps,
+            ranking.apps,
             eval_apps,
-            miner,
-            selection,
+            ranking.get(),
+            selection.per_app,
             merge_opts,
             tech,
             extra_kinds,
@@ -331,8 +407,8 @@ fn build_specialized_variant(
     name: &str,
     analysis_apps: &[&Application],
     eval_apps: &[&Application],
-    miner: &MinerConfig,
-    selection: &SubgraphSelection,
+    ranked: &[(&Application, Ranked)],
+    per_app: usize,
     merge_opts: &MergeOptions,
     tech: &TechModel,
     extra_kinds: &BTreeSet<OpKind>,
@@ -347,29 +423,23 @@ fn build_specialized_variant(
     // canonical code of the *materialized* datapath (two apps can mine the
     // same op pattern yet fold different constants or share inputs
     // differently — those are different PE rules), order by MIS size
-    // mining is independent per application: fan out over the bounded pool
-    let per_app: Vec<Result<Result<(Vec<MinedSubgraph>, Provenance), MineError>, JobPanic>> =
-        apex_par::par_map(apex_par::default_jobs(), analysis_apps, |_, app| {
-            #[cfg(feature = "fault-injection")]
-            {
-                if apex_fault::failpoints::should_fire("core::mine_panic") {
-                    panic!("injected panic at core::mine_panic");
-                }
-            }
-            select_subgraphs(app, miner, selection)
-        });
     let mut chosen: Vec<(String, Graph, usize)> = Vec::new();
     let mut seen: BTreeSet<String> = BTreeSet::new();
-    for (app, mined) in analysis_apps.iter().zip(per_app) {
-        let mined = match mined {
+    for &app in analysis_apps {
+        // `ranked` holds every analysis app, so the lookup always succeeds
+        let Some((_, mined)) = ranked.iter().find(|(a, _)| std::ptr::eq(*a, app)) else {
+            continue;
+        };
+        let mined: &[MinedSubgraph] = match mined {
             Ok(Ok((subgraphs, provenance))) => {
-                if let Some(d) = Degradation::from_provenance(Stage::Mine, provenance) {
+                if let Some(d) = Degradation::from_provenance(Stage::Mine, *provenance) {
                     degradations.push(d);
                 }
+                let subgraphs = &subgraphs[..per_app.min(subgraphs.len())];
                 #[cfg(debug_assertions)]
                 crate::dse::debug_verify(
                     "mine",
-                    &apex_verify::verify_mined(&app.graph, &subgraphs),
+                    &apex_verify::verify_mined(&app.graph, subgraphs),
                 );
                 subgraphs
             }
@@ -379,13 +449,13 @@ fn build_specialized_variant(
                     DegradationKind::Skipped,
                     format!("mining {} failed ({e}); no subgraphs from this app", app.info.name),
                 ));
-                Vec::new()
+                &[]
             }
             Err(p) => {
                 // a panicking miner is funneled into the error hierarchy
                 // (payload on the cause chain) and degrades like any other
                 // per-app mining failure: no subgraphs from this app
-                let err = p.into_apex(Stage::Mine);
+                let err = p.clone().into_apex(Stage::Mine);
                 degradations.push(Degradation::new(
                     Stage::Mine,
                     DegradationKind::Skipped,
@@ -395,11 +465,11 @@ fn build_specialized_variant(
                         err.render_chain()
                     ),
                 ));
-                Vec::new()
+                &[]
             }
         };
-        for (k, m) in mined.into_iter().enumerate() {
-            let mut g = materialize_with_consts(&app.graph, &m);
+        for (k, m) in mined.iter().enumerate() {
+            let mut g = materialize_with_consts(&app.graph, m);
             let (mat_pattern, _) =
                 apex_mining::Pattern::from_occurrence(&g, &g.compute_nodes());
             if !seen.insert(mat_pattern.canonical_code()) {
@@ -437,9 +507,25 @@ fn build_specialized_variant(
     finish(spec, sources, eval_apps, degradations)
 }
 
+/// Step `k` of a search over one application: the variant merging its
+/// top `k` subgraphs. Equal to `specialized_variant` with `per_app: k`,
+/// but every step of one search shares `ranking`.
+fn search_step(
+    name: &str,
+    app: &Application,
+    k: usize,
+    merge_opts: &MergeOptions,
+    tech: &TechModel,
+    ranking: &mut Ranking<'_>,
+) -> Result<PeVariant, ApexError> {
+    let selection = depth_selection(k);
+    ranked_variant(name, &[app], &selection, merge_opts, tech, &BTreeSet::new(), ranking)
+}
+
 /// Builds the ladder of increasingly specialized variants for one
 /// application (the paper's PE 1, PE 2, …, Fig. 11): variant `k` merges
-/// the top `k` subgraphs.
+/// the top `k` subgraphs. The application is mined once for the whole
+/// ladder.
 pub fn specialization_ladder(
     app: &Application,
     steps: usize,
@@ -447,26 +533,22 @@ pub fn specialization_ladder(
     merge_opts: &MergeOptions,
     tech: &TechModel,
 ) -> Result<Vec<PeVariant>, ApexError> {
-    let mut out = Vec::new();
-    for k in 0..=steps {
-        let selection = SubgraphSelection {
-            per_app: k,
-            ..SubgraphSelection::default()
-        };
-        let name = format!("pe{}_{}", k + 1, app.info.name);
-        let v = specialized_variant(
-            &name,
-            &[app],
-            &[app],
-            miner,
-            &selection,
-            merge_opts,
-            tech,
-            &BTreeSet::new(),
-        )?;
-        out.push(v);
+    let apps = [app];
+    let mut ranking = Ranking::new(&apps, miner, depth_selection(steps));
+    (0..=steps)
+        .map(|k| {
+            let name = format!("pe{}_{}", k + 1, app.info.name);
+            search_step(&name, app, k, merge_opts, tech, &mut ranking)
+        })
+        .collect()
+}
+
+/// The default selection ranking `depth` subgraphs per application.
+fn depth_selection(depth: usize) -> SubgraphSelection {
+    SubgraphSelection {
+        per_app: depth,
+        ..SubgraphSelection::default()
     }
-    Ok(out)
 }
 
 /// Materializes a mined subgraph as a datapath from its representative
@@ -493,7 +575,8 @@ pub(crate) fn materialize_with_consts(graph: &Graph, m: &MinedSubgraph) -> Graph
 /// still improves; stop at "the most specialized PE possible without
 /// increasing the area or energy of the application running on the CGRA"
 /// (Section 5). CGRA-level matters: deeper merging grows each PE but
-/// frees tiles, switch boxes, and connection boxes.
+/// frees tiles, switch boxes, and connection boxes. The application is
+/// mined once for the whole search.
 pub fn most_specialized_variant(
     app: &Application,
     miner: &MinerConfig,
@@ -503,21 +586,12 @@ pub fn most_specialized_variant(
 ) -> Result<PeVariant, ApexError> {
     let mut options = crate::evaluate::EvalOptions::default();
     options.place.moves = 4_000;
+    let name = format!("pe_spec_{}", app.info.name);
+    let apps = [app];
+    let mut ranking = Ranking::new(&apps, miner, depth_selection(max_steps));
     let mut best: Option<(PeVariant, f64, f64)> = None;
     for k in 0..=max_steps {
-        let v = specialized_variant(
-            &format!("pe_spec_{}", app.info.name),
-            &[app],
-            &[app],
-            miner,
-            &SubgraphSelection {
-                per_app: k,
-                ..SubgraphSelection::default()
-            },
-            merge_opts,
-            tech,
-            &BTreeSet::new(),
-        )?;
+        let v = search_step(&name, app, k, merge_opts, tech, &mut ranking)?;
         let eval = match crate::evaluate::evaluate_app(&v, app, tech, &options) {
             Ok(eval) => eval,
             // deeper variants may stop evaluating (e.g. over-merged PEs no

@@ -41,10 +41,13 @@ fn run() -> Result<(), ApexError> {
             ));
         }
     }
-    for (name, gen) in experiments {
-        if !args.is_empty() && !args.iter().any(|f| f == name) {
-            continue;
-        }
+    let selected: Vec<_> = experiments
+        .into_iter()
+        .filter(|(name, _)| args.is_empty() || args.iter().any(|f| f == name))
+        .collect();
+    let ids: Vec<&str> = selected.iter().map(|(name, _)| *name).collect();
+    apex_eval::warm_up(&ids);
+    for (name, gen) in selected {
         eprintln!("[running {name} ...]");
         let t0 = std::time::Instant::now();
         let table = gen()?;

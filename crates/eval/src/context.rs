@@ -167,8 +167,12 @@ pub fn pe_ip2() -> Result<&'static PeVariant, ApexError> {
     })
 }
 
-/// PE IP3: unbalanced — specializes more for camera pipeline than for the
-/// other applications (Fig. 12).
+/// PE IP3: Fig. 12's unbalanced variant, meant to specialize more for the
+/// camera pipeline than for the other applications. It lists camera three
+/// times with one subgraph per application, but every repeat selects the
+/// same top subgraph, which the canonical-code dedup drops: IP3 merges at
+/// most one subgraph per application (three in all, as unsharp's equals
+/// gaussian's), and camera gets no extra weight.
 ///
 /// # Errors
 /// Propagates the variant-construction error of the first build.
@@ -177,9 +181,9 @@ pub fn pe_ip3() -> Result<&'static PeVariant, ApexError> {
     memo(&V, || {
         let analysis = ip_apps();
         let arefs: Vec<&Application> = analysis.iter().collect();
-        // camera: deep selection, others: a single subgraph
+        // camera repeated; the repeats add nothing (see above)
         let mut chosen: Vec<&Application> = Vec::new();
-        chosen.push(arefs[0]); // camera, weighted by repeating
+        chosen.push(arefs[0]);
         chosen.push(arefs[0]);
         chosen.push(arefs[0]);
         chosen.extend(&arefs[1..]);
@@ -271,6 +275,47 @@ pub fn camera_ladder() -> Result<&'static Vec<PeVariant>, ApexError> {
     })
     .as_ref()
     .map_err(reraise)
+}
+
+/// A shared variant of this module, named so that experiments can declare
+/// the ones they read (see [`crate::experiments::warm_up`]). The warm-up
+/// builds them in declaration order: the PE Spec searches, which build and
+/// evaluate up to five variants each, first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Shared {
+    /// [`pe_spec`] for the named application.
+    Spec(&'static str),
+    /// [`camera_ladder`].
+    CameraLadder,
+    /// [`pe_ip2`].
+    Ip2,
+    /// [`pe_ip3`].
+    Ip3,
+    /// [`pe_ip`].
+    Ip,
+    /// [`pe_ml`].
+    Ml,
+    /// [`baseline`].
+    Baseline,
+}
+
+impl Shared {
+    /// Builds the variant into its memo (or loads it from the variant
+    /// cache).
+    ///
+    /// # Errors
+    /// The build error, exactly as the accessor returns it.
+    pub(crate) fn build(self) -> Result<(), ApexError> {
+        match self {
+            Shared::Spec(name) => pe_spec(name).map(drop),
+            Shared::CameraLadder => camera_ladder().map(drop),
+            Shared::Ip2 => pe_ip2().map(drop),
+            Shared::Ip3 => pe_ip3().map(drop),
+            Shared::Ip => pe_ip().map(drop),
+            Shared::Ml => pe_ml().map(drop),
+            Shared::Baseline => baseline().map(drop),
+        }
+    }
 }
 
 /// Evaluates a variant on an application with shared options.

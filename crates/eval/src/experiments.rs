@@ -14,7 +14,7 @@
 use crate::baselines::{asic, fpga, simba};
 use crate::context::{
     all_apps, app, baseline, camera_ladder, pe_ip, pe_ip2, pe_ip3, pe_ml, pe_spec, run_batch,
-    tech,
+    tech, Shared,
 };
 use crate::table::Table;
 use apex_apps::{ip_apps, ml_apps, unseen_apps, Application, Domain};
@@ -22,6 +22,7 @@ use apex_core::{select_subgraphs, PeVariant, SubgraphSelection};
 use apex_fault::{ApexError, Stage};
 use apex_map::{map_application, NetKind};
 use apex_mining::MinerConfig;
+use std::collections::BTreeSet;
 
 /// Table 1: the applications used for DSE evaluation.
 ///
@@ -53,14 +54,18 @@ pub fn fig10() -> Result<Table, ApexError> {
         &["Application", "Rank", "Subgraph", "Nodes", "MIS"],
     );
     let miner = MinerConfig::default();
-    for a in all_apps().iter().take(6) {
-        let (subs, _) = select_subgraphs(a, &miner, &SubgraphSelection {
-            per_app: 4,
-            ..SubgraphSelection::default()
-        })
-        .map_err(|e| {
-            ApexError::new(Stage::Mine, format!("mining {}: {e}", a.info.name))
-        })?;
+    let selection = SubgraphSelection {
+        per_app: 4,
+        ..SubgraphSelection::default()
+    };
+    let analyzed = &all_apps()[..6];
+    let mined = apex_par::par_map(apex_par::default_jobs(), analyzed, |_, a| {
+        select_subgraphs(a, &miner, &selection)
+    });
+    for (a, mined) in analyzed.iter().zip(mined) {
+        let (subs, _) = mined
+            .map_err(|p| p.into_apex(Stage::Mine))?
+            .map_err(|e| ApexError::new(Stage::Mine, format!("mining {}: {e}", a.info.name)))?;
         for (k, m) in subs.iter().enumerate() {
             t.push(vec![
                 a.info.name.clone(),
@@ -492,6 +497,48 @@ pub fn all_experiments() -> Vec<(&'static str, fn() -> Result<Table, ApexError>)
         ("fig17", fig17),
         ("fig18", fig18),
     ]
+}
+
+/// The shared variants experiment `id` reads (none for an unknown id).
+fn needs(id: &str) -> Vec<Shared> {
+    // PE Spec for each analyzed application of `domain` (all six for None)
+    let spec = |domain: Option<Domain>| -> Vec<Shared> {
+        all_apps()
+            .iter()
+            .take(6)
+            .filter(|a| domain.is_none_or(|d| a.info.domain == d))
+            .map(|a| Shared::Spec(a.info.name.as_str()))
+            .collect()
+    };
+    let mut out = match id {
+        "fig11" | "table2" => vec![Shared::CameraLadder],
+        "fig12" => vec![Shared::Ip, Shared::Ip2, Shared::Ip3],
+        "fig13" | "fig17" => vec![Shared::Ip],
+        "fig14" | "fig15" => [spec(None), vec![Shared::Ip, Shared::Ml]].concat(),
+        "table3" => [spec(Some(Domain::ImageProcessing)), vec![Shared::Ip, Shared::Ml]].concat(),
+        "fig16" => vec![Shared::Ip, Shared::Ml],
+        "fig18" => vec![Shared::Ml],
+        _ => return Vec::new(),
+    };
+    out.push(Shared::Baseline);
+    out
+}
+
+/// Builds every shared variant the experiments `ids` read, on the job
+/// pool and PE Spec searches first, so that the experiments (which still run one
+/// after another and read their variants lazily) find them memoized.
+/// Nested fan-out inside a build runs inline (see [`apex_par::par_map`]),
+/// so the warm-up never runs more than `jobs` builds at once. A build
+/// error is left for the experiment that reads the variant to report; an
+/// interrupt skips the builds not yet started.
+pub fn warm_up(ids: &[&str]) {
+    let shared: BTreeSet<Shared> = ids.iter().flat_map(|id| needs(id)).collect();
+    let shared: Vec<Shared> = shared.into_iter().collect();
+    apex_par::par_map(apex_par::default_jobs(), &shared, |_, v| {
+        if !apex_fault::interrupt::interrupted() {
+            let _ = v.build();
+        }
+    });
 }
 
 // The experiment generators double as this crate's deep integration

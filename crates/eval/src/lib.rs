@@ -23,5 +23,5 @@ pub use context::{
     all_apps, app, baseline, camera_ladder, pe_ip, pe_ip2, pe_ip3, pe_ml, pe_spec, run,
     run_batch, tech,
 };
-pub use experiments::all_experiments;
+pub use experiments::{all_experiments, warm_up};
 pub use table::Table;

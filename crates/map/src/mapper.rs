@@ -228,14 +228,15 @@ fn assign_edges(
 }
 
 /// Maps an application graph onto a PE, producing a netlist of configured
-/// PE instances.
+/// PE instances. The rules carry everything mapping needs; the datapath
+/// is read only by the debug-build check of each instance configuration.
 ///
 /// # Errors
 /// Fails when some application operation has no covering rule, or when
 /// the graph contains registers (mapping runs before pipelining).
 pub fn map_application(
     app: &Graph,
-    dp: &MergedDatapath,
+    _dp: &MergedDatapath,
     rules: &RuleSet,
 ) -> Result<MappedDesign, MapError> {
     apex_fault::fail_point!("map::start", MapError::Injected("map::start"));
@@ -508,7 +509,7 @@ pub fn map_application(
     for node in &netlist.nodes {
         if let NetKind::Pe(inst) = &node.kind {
             let rule = &rules.rules[inst.rule as usize];
-            let check = dp.validate_config(&rule.instantiate(&inst.payloads));
+            let check = _dp.validate_config(&rule.instantiate(&inst.payloads));
             debug_assert!(check.is_ok(), "invalid instance configuration: {check:?}");
         }
     }

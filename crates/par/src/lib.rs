@@ -7,7 +7,8 @@
 //!
 //! * **bounded** — at most `jobs` worker threads, never one thread per
 //!   item (the pre-pool synthesis code spawned a thread per template and
-//!   oversubscribed the machine on large applications);
+//!   oversubscribed the machine on large applications), and a `par_map`
+//!   nested inside a job runs inline rather than multiplying the workers;
 //! * **work-stealing** — each worker owns a contiguous slice of the item
 //!   range and, when it runs dry, steals the far half of the largest
 //!   remaining slice (lazy binary splitting), so a few slow items cannot
@@ -103,6 +104,13 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
+thread_local! {
+    /// Set on the threads [`par_map`] spawns: a `par_map` called from one
+    /// of its jobs runs inline, so nested fan-out (mining inside a variant
+    /// build inside a report warm-up) never exceeds the outer `jobs`.
+    static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 /// One worker's share of the item range, packed `next << 32 | end` so the
 /// owner (popping from the front) and thieves (halving from the back) can
 /// race over it with plain compare-exchange loops.
@@ -176,11 +184,11 @@ impl Range {
 /// results **in input order**. `f` receives `(index, &item)`.
 ///
 /// A job that panics yields `Err(JobPanic)` for its slot; every other item
-/// still completes. With `jobs <= 1` (or one item) everything runs inline
-/// on the caller's thread with identical semantics — the serial and
-/// parallel paths are the same code, which is what makes "parallel output
-/// is bit-identical to serial" a structural property rather than a test
-/// hope.
+/// still completes. With `jobs <= 1` (or one item), or when called from a
+/// job of another `par_map`, everything runs inline on the caller's thread
+/// with identical semantics — the serial and parallel paths are the same
+/// code, which is what makes "parallel output is bit-identical to serial"
+/// a structural property rather than a test hope.
 pub fn par_map<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<Result<R, JobPanic>>
 where
     T: Sync,
@@ -195,7 +203,7 @@ where
         })
     };
     let workers = jobs.max(1).min(n.max(1));
-    if workers <= 1 || n <= 1 {
+    if workers <= 1 || n <= 1 || IN_WORKER.with(std::cell::Cell::get) {
         return (0..n).map(run_one).collect();
     }
 
@@ -209,6 +217,7 @@ where
                 let ranges = &ranges;
                 let run_one = &run_one;
                 scope.spawn(move || {
+                    IN_WORKER.with(|w| w.set(true));
                     let mut out: Vec<(usize, Result<R, JobPanic>)> = Vec::new();
                     loop {
                         // drain our own range from the front
@@ -735,6 +744,38 @@ mod tests {
     #[test]
     fn default_jobs_is_positive() {
         assert!(default_jobs() >= 1);
+    }
+
+    #[test]
+    fn nested_par_map_runs_inline_in_order_and_catches_panics() {
+        let outer: Vec<usize> = (0..4).collect();
+        let out = par_map(2, &outer, |_, &x| {
+            let worker = std::thread::current().id();
+            let inner: Vec<usize> = (0..8).collect();
+            let results = par_map(2, &inner, |_, &y| {
+                assert_eq!(std::thread::current().id(), worker, "nested job left its worker");
+                assert!(y != 5, "inner boom");
+                x * 100 + y
+            });
+            (worker, results)
+        });
+        let mut workers = Vec::new();
+        for (x, r) in out.into_iter().enumerate() {
+            let (worker, results) = r.unwrap();
+            if !workers.contains(&worker) {
+                workers.push(worker);
+            }
+            for (y, inner) in results.into_iter().enumerate() {
+                if y == 5 {
+                    let p = inner.unwrap_err();
+                    assert_eq!(p.index, 5);
+                    assert!(p.payload.contains("inner boom"), "{p}");
+                } else {
+                    assert_eq!(inner.unwrap(), x * 100 + y);
+                }
+            }
+        }
+        assert!(workers.len() <= 2, "outer jobs ran on {} threads", workers.len());
     }
 
     #[test]

@@ -926,7 +926,15 @@ fn report(filter: &[String], resume: bool) -> Result<Status, ApexError> {
         })
         .collect();
     let flag = apex::fault::interrupt::flag();
+    let mut warmed = false;
     let run = apex::core::run_checkpointed(&journal, &jobs, resume, Some(&flag), |i| {
+        if !warmed {
+            // jobs run in order and a resumed journal holds a prefix of
+            // them, so every job from the first one executed on still runs
+            warmed = true;
+            let pending: Vec<&str> = selected[i..].iter().map(|(name, _)| *name).collect();
+            apex::eval::warm_up(&pending);
+        }
         let table = (selected[i].1)()?;
         Ok(JobReport {
             payload: format!("{table}\n"),

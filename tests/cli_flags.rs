@@ -159,6 +159,48 @@ fn interrupted_report_exits_3_and_resume_is_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `apex report` builds ahead of time only the shared variants of the
+/// experiments it will actually run: none for a fully replayed journal,
+/// none for an experiment that reads no variant. (Under `fault-injection`
+/// the variant cache is bypassed, so there is no count to observe.)
+#[cfg(not(feature = "fault-injection"))]
+#[test]
+fn report_warm_up_builds_only_what_runs() {
+    let dir = scratch("warmup");
+    let cache_s = dir.join("cache").to_string_lossy().into_owned();
+    let journal_s = dir.join("journal").to_string_lossy().into_owned();
+    let envs = [
+        ("APEX_CACHE_DIR", cache_s.as_str()),
+        ("APEX_JOURNAL_DIR", journal_s.as_str()),
+    ];
+    let footer = |args: &[&str]| {
+        let (code, _, stderr) = apex_env(args, &envs);
+        assert_eq!(code, 0, "{args:?} succeeds\nstderr: {stderr}");
+        stderr
+    };
+
+    // fig13 reads the baseline and PE IP, nothing else
+    let stderr = footer(&["report", "fig13"]);
+    assert!(
+        stderr.contains("cache: 0 hit(s), 2 miss(es)"),
+        "fig13: {stderr}"
+    );
+    // every job replays from the journal: nothing is built or loaded
+    let stderr = footer(&["report", "fig13", "--resume"]);
+    assert!(
+        stderr.contains("cache: 0 hit(s), 0 miss(es)"),
+        "fig13 --resume: {stderr}"
+    );
+    // table1 reads no variant
+    let stderr = footer(&["report", "table1"]);
+    assert!(
+        stderr.contains("cache: 0 hit(s), 0 miss(es)"),
+        "table1: {stderr}"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn unknown_application_exits_nonzero() {
     let (code, stderr) = apex(&["dse", "no-such-app"]);

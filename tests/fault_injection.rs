@@ -8,10 +8,10 @@
 
 #![cfg(feature = "fault-injection")]
 
-use apex::apps::{gaussian, harris, unsharp, Application};
+use apex::apps::{camera_pipeline, gaussian, harris, unsharp, Application};
 use apex::core::{
-    dse_evaluate_app, dse_evaluate_suite, specialized_variant, DseOptions, PeVariant,
-    SubgraphSelection,
+    dse_evaluate_app, dse_evaluate_suite, most_specialized_variant, specialization_ladder,
+    specialized_variant, DseOptions, PeVariant, SubgraphSelection,
 };
 use apex::fault::{failpoints, ApexError, Stage};
 use apex::merge::MergeOptions;
@@ -28,13 +28,18 @@ struct Armed {
 
 impl Armed {
     fn new(site: &str) -> Self {
+        Armed::after(site, 1)
+    }
+
+    /// Arms `site` to fire from its `nth` hit on.
+    fn after(site: &str, nth: u64) -> Self {
         static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
         let guard = LOCK
             .get_or_init(|| Mutex::new(()))
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         failpoints::disarm_all();
-        failpoints::arm(site);
+        failpoints::arm_after(site, nth);
         Armed { _guard: guard }
     }
 }
@@ -231,6 +236,61 @@ fn injected_mine_panic_degrades_not_aborts() {
     for o in dse_evaluate_suite(&Ok(variant.clone()), &refs, &tech, &DseOptions::default()) {
         assert!(o.is_degraded());
         assert!(o.result.is_ok(), "degenerate variant must still evaluate");
+    }
+}
+
+fn assert_no_mine_degradation(v: &PeVariant) {
+    assert!(
+        v.degradations.iter().all(|d| d.stage != Stage::Mine),
+        "{} re-mined into the armed hit: {:?}",
+        v.spec.name,
+        v.degradations
+    );
+}
+
+#[test]
+fn searches_and_repeated_analysis_apps_mine_once() {
+    // `mine::start` fires from an armed hit on. Each build below mines
+    // each distinct application once, so it never reaches that hit; the
+    // old flow re-mined per search step and per repeated analysis app
+    let tech = TechModel::default();
+    let miner = MinerConfig::default();
+    let merge = MergeOptions::default();
+    let (camera, gauss, harris) = (camera_pipeline(), gaussian(), harris());
+    {
+        let _armed = Armed::after("mine::start", 2);
+        let v = most_specialized_variant(&gauss, &miner, &merge, &tech, 4)
+            .expect("the PE Spec search builds");
+        assert_no_mine_degradation(&v);
+        assert_eq!(failpoints::hits("mine::start"), 1);
+    }
+    {
+        let _armed = Armed::after("mine::start", 2);
+        let ladder =
+            specialization_ladder(&camera, 3, &miner, &merge, &tech).expect("the ladder builds");
+        ladder.iter().for_each(assert_no_mine_degradation);
+        assert_eq!(failpoints::hits("mine::start"), 1);
+    }
+    {
+        // camera weighted by repetition (as in PE IP3) plus harris: two
+        // distinct apps, so a third hit would mean camera was re-mined
+        let _armed = Armed::after("mine::start", 3);
+        let v = specialized_variant(
+            "pe_ip3_like",
+            &[&camera, &camera, &camera, &harris],
+            &[&camera, &harris],
+            &miner,
+            &SubgraphSelection {
+                per_app: 1,
+                ..SubgraphSelection::default()
+            },
+            &merge,
+            &tech,
+            &BTreeSet::new(),
+        )
+        .expect("the analysis build succeeds");
+        assert_no_mine_degradation(&v);
+        assert_eq!(failpoints::hits("mine::start"), 2);
     }
 }
 
