@@ -319,7 +319,7 @@ type Ranked = Result<Result<(Vec<MinedSubgraph>, Provenance), MineError>, JobPan
 /// The ranked subgraphs of a set of analysis applications, computed at
 /// most once and only when a build needs them. A search over one
 /// application (the ladder, PE Spec) ranks `depth` subgraphs once and
-/// builds step `k` from the first `k`; a warm search, whose every step hits
+/// builds step `k` from the first `k`; a warm ladder, whose every step hits
 /// the variant cache, mines nothing.
 struct Ranking<'a> {
     apps: &'a [&'a Application],
@@ -507,21 +507,6 @@ fn build_specialized_variant(
     finish(spec, sources, eval_apps, degradations)
 }
 
-/// Step `k` of a search over one application: the variant merging its
-/// top `k` subgraphs. Equal to `specialized_variant` with `per_app: k`,
-/// but every step of one search shares `ranking`.
-fn search_step(
-    name: &str,
-    app: &Application,
-    k: usize,
-    merge_opts: &MergeOptions,
-    tech: &TechModel,
-    ranking: &mut Ranking<'_>,
-) -> Result<PeVariant, ApexError> {
-    let selection = depth_selection(k);
-    ranked_variant(name, &[app], &selection, merge_opts, tech, &BTreeSet::new(), ranking)
-}
-
 /// Builds the ladder of increasingly specialized variants for one
 /// application (the paper's PE 1, PE 2, …, Fig. 11): variant `k` merges
 /// the top `k` subgraphs. The application is mined once for the whole
@@ -538,7 +523,16 @@ pub fn specialization_ladder(
     (0..=steps)
         .map(|k| {
             let name = format!("pe{}_{}", k + 1, app.info.name);
-            search_step(&name, app, k, merge_opts, tech, &mut ranking)
+            let selection = depth_selection(k);
+            ranked_variant(
+                &name,
+                &apps,
+                &selection,
+                merge_opts,
+                tech,
+                &BTreeSet::new(),
+                &mut ranking,
+            )
         })
         .collect()
 }
@@ -577,6 +571,12 @@ pub(crate) fn materialize_with_consts(graph: &Graph, m: &MinedSubgraph) -> Graph
 /// (Section 5). CGRA-level matters: deeper merging grows each PE but
 /// frees tiles, switch boxes, and connection boxes. The application is
 /// mined once for the whole search.
+///
+/// The whole search is one variant-cache entry, keyed by everything it
+/// reads (the application, miner, deepest selection, merge options, tech
+/// model and the search's own evaluation options); the steps it builds
+/// and evaluates are not cached. A warm search is one lookup: it neither
+/// mines nor evaluates.
 pub fn most_specialized_variant(
     app: &Application,
     miner: &MinerConfig,
@@ -588,38 +588,63 @@ pub fn most_specialized_variant(
     options.place.moves = 4_000;
     let name = format!("pe_spec_{}", app.info.name);
     let apps = [app];
-    let mut ranking = Ranking::new(&apps, miner, depth_selection(max_steps));
-    let mut best: Option<(PeVariant, f64, f64)> = None;
-    for k in 0..=max_steps {
-        let v = search_step(&name, app, k, merge_opts, tech, &mut ranking)?;
-        let eval = match crate::evaluate::evaluate_app(&v, app, tech, &options) {
-            Ok(eval) => eval,
-            // deeper variants may stop evaluating (e.g. over-merged PEs no
-            // longer fit the fabric) — keep the best evaluated one, but a
-            // failure on the very first step has nothing to fall back to
-            Err(e) if best.is_none() => return Err(e.into()),
-            Err(_) => break,
-        };
-        let (area, energy) = (eval.area.total(), eval.energy_per_cycle.total());
-        match &best {
-            None => best = Some((v, area, energy)),
-            Some((_, ba, be)) => {
-                // tolerate sub-percent noise from placement
-                if area <= ba * 1.005 && energy <= be * 1.005 {
-                    best = Some((v, area.min(*ba), energy.min(*be)));
-                } else {
-                    break; // more merging starts costing area/energy
+    let depth = depth_selection(max_steps);
+    let key = crate::cache::variant_cache_key(
+        "spec-search",
+        &name,
+        &apps,
+        &apps,
+        Some(miner),
+        Some(&depth),
+        Some(merge_opts),
+        Some(tech),
+        &BTreeSet::new(),
+    );
+    let key = crate::cache::fnv1a(&[&format!("{key:016x}"), &format!("eval:{options:?}")]);
+    cached(key, || {
+        let mut ranking = Ranking::new(&apps, miner, depth);
+        let mut best: Option<(PeVariant, f64, f64)> = None;
+        for k in 0..=max_steps {
+            let v = build_specialized_variant(
+                &name,
+                &apps,
+                &apps,
+                ranking.get(),
+                k,
+                merge_opts,
+                tech,
+                &BTreeSet::new(),
+            )?;
+            let eval = match crate::evaluate::evaluate_app(&v, app, tech, &options) {
+                Ok(eval) => eval,
+                // deeper variants may stop evaluating (e.g. over-merged PEs
+                // no longer fit the fabric) — keep the best evaluated one,
+                // but a failure on the very first step has nothing to fall
+                // back to
+                Err(e) if best.is_none() => return Err(e.into()),
+                Err(_) => break,
+            };
+            let (area, energy) = (eval.area.total(), eval.energy_per_cycle.total());
+            match &best {
+                None => best = Some((v, area, energy)),
+                Some((_, ba, be)) => {
+                    // tolerate sub-percent noise from placement
+                    if area <= ba * 1.005 && energy <= be * 1.005 {
+                        best = Some((v, area.min(*ba), energy.min(*be)));
+                    } else {
+                        break; // more merging starts costing area/energy
+                    }
                 }
             }
         }
-    }
-    match best {
-        Some((v, _, _)) => Ok(v),
-        None => Err(ApexError::new(
-            Stage::Merge,
-            "specialization search produced no evaluable variant",
-        )),
-    }
+        match best {
+            Some((v, _, _)) => Ok(v),
+            None => Err(ApexError::new(
+                Stage::Merge,
+                "specialization search produced no evaluable variant",
+            )),
+        }
+    })
 }
 
 fn finish(

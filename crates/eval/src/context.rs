@@ -257,6 +257,10 @@ pub fn pe_spec(app_name: &str) -> Result<&'static PeVariant, ApexError> {
     Ok(leaked)
 }
 
+/// The deepest step of [`camera_ladder`]: PE 1 merges nothing, PE 4 the
+/// top three subgraphs.
+pub(crate) const LADDER_STEPS: usize = 3;
+
 /// The camera-pipeline specialization ladder (PE 1 … PE 4, Fig. 11 /
 /// Table 2).
 ///
@@ -267,7 +271,7 @@ pub fn camera_ladder() -> Result<&'static Vec<PeVariant>, ApexError> {
     V.get_or_init(|| {
         specialization_ladder(
             app("camera")?,
-            3,
+            LADDER_STEPS,
             &miner(),
             &MergeOptions::default(),
             tech(),
@@ -277,43 +281,51 @@ pub fn camera_ladder() -> Result<&'static Vec<PeVariant>, ApexError> {
     .map_err(reraise)
 }
 
-/// A shared variant of this module, named so that experiments can declare
-/// the ones they read (see [`crate::experiments::warm_up`]). The warm-up
-/// builds them in declaration order: the PE Spec searches, which build and
-/// evaluate up to five variants each, first.
+/// A variant of this module, named symbolically so that experiments can
+/// declare the cells they read (see [`crate::plan`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Shared {
-    /// [`pe_spec`] for the named application.
-    Spec(&'static str),
-    /// [`camera_ladder`].
-    CameraLadder,
+    /// [`baseline`].
+    Baseline,
+    /// [`pe_ip`].
+    Ip,
     /// [`pe_ip2`].
     Ip2,
     /// [`pe_ip3`].
     Ip3,
-    /// [`pe_ip`].
-    Ip,
     /// [`pe_ml`].
     Ml,
-    /// [`baseline`].
-    Baseline,
+    /// [`pe_spec`] for the named application.
+    Spec(&'static str),
+    /// Step `k` of [`camera_ladder`] (PE `k + 1`).
+    Ladder(usize),
 }
 
 impl Shared {
-    /// Builds the variant into its memo (or loads it from the variant
-    /// cache).
+    /// The variant, built on first use (or loaded from the variant cache).
     ///
     /// # Errors
     /// The build error, exactly as the accessor returns it.
-    pub(crate) fn build(self) -> Result<(), ApexError> {
+    pub(crate) fn get(self) -> Result<&'static PeVariant, ApexError> {
         match self {
-            Shared::Spec(name) => pe_spec(name).map(drop),
-            Shared::CameraLadder => camera_ladder().map(drop),
-            Shared::Ip2 => pe_ip2().map(drop),
-            Shared::Ip3 => pe_ip3().map(drop),
-            Shared::Ip => pe_ip().map(drop),
-            Shared::Ml => pe_ml().map(drop),
-            Shared::Baseline => baseline().map(drop),
+            Shared::Baseline => baseline(),
+            Shared::Ip => pe_ip(),
+            Shared::Ip2 => pe_ip2(),
+            Shared::Ip3 => pe_ip3(),
+            Shared::Ml => pe_ml(),
+            Shared::Spec(name) => pe_spec(name),
+            Shared::Ladder(k) => camera_ladder()?.get(k).ok_or_else(|| {
+                ApexError::new(Stage::Sweep, format!("the camera ladder has no step {k}"))
+            }),
+        }
+    }
+
+    /// The variant an experiment evaluates against application `a` in
+    /// Figs. 14–16: its domain's PE.
+    pub(crate) fn domain(a: &Application) -> Shared {
+        match a.info.domain {
+            apex_apps::Domain::ImageProcessing => Shared::Ip,
+            apex_apps::Domain::MachineLearning => Shared::Ml,
         }
     }
 }

@@ -6,23 +6,88 @@
 //! differ from the paper's testbed; EXPERIMENTS.md records the
 //! paper-vs-measured comparison for every row.
 //!
-//! The heavyweight generators (Table 2/3, Figs. 15–18) fan their
-//! place-and-route evaluations out over [`run_batch`]'s job pool; rows
-//! are assembled serially from the in-order results, so the emitted
-//! tables are bit-identical at any worker count.
+//! Each generator declares the cells it reads (see [`crate::plan`]) and
+//! formats them: cells the plan computed come from its memo, any others
+//! are computed here — place-and-route evaluations on [`run_batch`]'s job
+//! pool — so the emitted tables are bit-identical at any worker count,
+//! with or without a plan.
 
 use crate::baselines::{asic, fpga, simba};
-use crate::context::{
-    all_apps, app, baseline, camera_ladder, pe_ip, pe_ip2, pe_ip3, pe_ml, pe_spec, run_batch,
-    tech, Shared,
-};
+use crate::context::{all_apps, app, run_batch, tech, Shared, LADDER_STEPS};
+use crate::plan::{self, recall, Cells, PostMapping};
 use crate::table::Table;
-use apex_apps::{ip_apps, ml_apps, unseen_apps, Application, Domain};
-use apex_core::{select_subgraphs, PeVariant, SubgraphSelection};
+use apex_apps::{Application, Domain};
+use apex_core::{post_mapping_estimate, AppEvaluation, EvalError, PeVariant};
 use apex_fault::{ApexError, Stage};
-use apex_map::{map_application, NetKind};
-use apex_mining::MinerConfig;
-use std::collections::BTreeSet;
+
+/// The six analyzed applications (Table 1).
+fn analyzed() -> impl Iterator<Item = &'static Application> {
+    all_apps().iter().take(6)
+}
+
+/// The analyzed applications of one domain.
+fn analyzed_in(domain: Domain) -> impl Iterator<Item = &'static Application> {
+    analyzed().filter(move |a| a.info.domain == domain)
+}
+
+/// The applications not analyzed for any variant (Fig. 13).
+fn unseen() -> impl Iterator<Item = &'static Application> {
+    all_apps().iter().skip(6)
+}
+
+fn name(a: &'static Application) -> &'static str {
+    a.info.name.as_str()
+}
+
+/// The cells experiment `id` reads (none for an unknown id).
+pub(crate) fn declared(id: &str) -> Cells {
+    match id {
+        "fig10" => fig10_cells(),
+        "fig11" => fig11_cells(),
+        "table2" => table2_cells(),
+        "fig12" => fig12_cells(),
+        "fig13" => fig13_cells(),
+        "fig14" => fig14_cells(),
+        "fig15" => fig15_cells(),
+        "table3" => table3_cells(),
+        "fig16" => fig16_cells(),
+        "fig17" => fig17_cells(),
+        "fig18" => fig18_cells(),
+        _ => Cells::default(),
+    }
+}
+
+/// The post-mapping estimate of `v` on `a`, from the plan or computed
+/// here.
+///
+/// # Errors
+/// The variant's build error, or the mapping error of [`post_mapping`].
+fn post_mapped(v: Shared, a: &'static str) -> Result<PostMapping, ApexError> {
+    let (variant, application) = (v.get()?, app(a)?);
+    let mut out = recall(|m| &mut m.mapped, &[(v, a)], |_| {
+        Ok(vec![post_mapping(variant, application)?])
+    })?;
+    out.pop()
+        .ok_or_else(|| ApexError::new(Stage::Map, format!("{a}: no post-mapping result")))
+}
+
+/// The evaluations of `cells`, in order: every cell's variant first (so a
+/// build error surfaces before any evaluation), then each evaluation from
+/// the plan, or computed here on the job pool.
+///
+/// # Errors
+/// The first build error, then the first failed evaluation, in cell
+/// order.
+fn evaluations(cells: &Cells) -> Result<Vec<AppEvaluation>, ApexError> {
+    let mut batch: Vec<(&PeVariant, &Application, bool)> = Vec::new();
+    for &(v, a, pipelined) in &cells.evals {
+        batch.push((v.get()?, app(a)?, pipelined));
+    }
+    recall(|m| &mut m.evaluated, &cells.evals, |missing| {
+        let todo: Vec<_> = missing.iter().map(|&i| batch[i]).collect();
+        run_batch(&todo)
+    })
+}
 
 /// Table 1: the applications used for DSE evaluation.
 ///
@@ -33,7 +98,7 @@ pub fn table1() -> Result<Table, ApexError> {
         "Table 1: Applications used for the DSE framework evaluation",
         &["Application", "Domain", "Description"],
     );
-    for a in all_apps().iter().take(6) {
+    for a in analyzed() {
         t.push(vec![
             a.info.name.clone(),
             a.info.domain.to_string(),
@@ -41,6 +106,13 @@ pub fn table1() -> Result<Table, ApexError> {
         ]);
     }
     Ok(t)
+}
+
+fn fig10_cells() -> Cells {
+    Cells {
+        mining: analyzed().map(name).collect(),
+        ..Cells::default()
+    }
 }
 
 /// Fig. 10: the frequent subgraphs selected for merging, per application,
@@ -53,26 +125,21 @@ pub fn fig10() -> Result<Table, ApexError> {
         "Fig. 10: Subgraphs selected for PE construction (MIS order)",
         &["Application", "Rank", "Subgraph", "Nodes", "MIS"],
     );
-    let miner = MinerConfig::default();
-    let selection = SubgraphSelection {
-        per_app: 4,
-        ..SubgraphSelection::default()
-    };
-    let analyzed = &all_apps()[..6];
-    let mined = apex_par::par_map(apex_par::default_jobs(), analyzed, |_, a| {
-        select_subgraphs(a, &miner, &selection)
-    });
-    for (a, mined) in analyzed.iter().zip(mined) {
-        let (subs, _) = mined
-            .map_err(|p| p.into_apex(Stage::Mine))?
-            .map_err(|e| ApexError::new(Stage::Mine, format!("mining {}: {e}", a.info.name)))?;
-        for (k, m) in subs.iter().enumerate() {
+    let apps = fig10_cells().mining;
+    let selected = recall(|m| &mut m.mined, &apps, |missing| {
+        apex_par::par_map(apex_par::default_jobs(), missing, |_, &i| plan::select(apps[i]))
+            .into_iter()
+            .map(|r| r.map_err(|p| p.into_apex(Stage::Mine))?)
+            .collect()
+    })?;
+    for (a, subs) in apps.iter().zip(selected) {
+        for (k, (pattern, nodes, mis)) in subs.into_iter().enumerate() {
             t.push(vec![
-                a.info.name.clone(),
+                (*a).to_owned(),
                 (k + 1).to_string(),
-                m.pattern.to_string(),
-                m.pattern.len().to_string(),
-                m.mis_size.to_string(),
+                pattern,
+                nodes.to_string(),
+                mis.to_string(),
             ]);
         }
     }
@@ -89,23 +156,25 @@ pub fn post_mapping(
     variant: &PeVariant,
     application: &Application,
 ) -> Result<(usize, f64, f64), ApexError> {
-    let design = map_application(&application.graph, &variant.spec.datapath, &variant.rules)
-        .map_err(|e| {
-            ApexError::new(Stage::Map, format!("{}: {e}", application.info.name))
-        })?;
-    let pe_area = variant.spec.area(tech()).total();
-    let mut energy = 0.0;
-    for node in &design.netlist.nodes {
-        if let NetKind::Pe(inst) = &node.kind {
-            let rule = &variant.rules.rules[inst.rule as usize];
-            energy += variant.spec.energy(&rule.instantiate(&inst.payloads), tech());
-        }
+    post_mapping_estimate(variant, application, tech()).map_err(|e| {
+        let e = match e {
+            EvalError::Map(e) => e.to_string(),
+            e => e.to_string(),
+        };
+        ApexError::new(Stage::Map, format!("{}: {e}", application.info.name))
+    })
+}
+
+/// The baseline and every step of the camera ladder (Fig. 11, Table 2).
+fn base_and_ladder() -> impl Iterator<Item = Shared> {
+    std::iter::once(Shared::Baseline).chain((0..=LADDER_STEPS).map(Shared::Ladder))
+}
+
+fn fig11_cells() -> Cells {
+    Cells {
+        maps: base_and_ladder().map(|v| (v, "camera")).collect(),
+        ..Cells::default()
     }
-    Ok((
-        design.stats.pe_count,
-        design.stats.pe_count as f64 * pe_area,
-        energy,
-    ))
 }
 
 /// Fig. 11: camera-pipeline PE specialization sweep (baseline, PE 1..4) —
@@ -118,17 +187,14 @@ pub fn fig11() -> Result<Table, ApexError> {
         "Fig. 11: Camera-pipeline specialization (PE core level)",
         &["Variant", "#PEs", "Area/PE um2", "Total PE area um2", "PE energy pJ/cycle", "Area vs base", "Energy vs base"],
     );
-    let camera = app("camera")?;
     let mut rows: Vec<(String, usize, f64, f64)> = Vec::new();
-    {
-        let (n, area, energy) = post_mapping(baseline()?, camera)?;
-        rows.push(("pe_base".into(), n, area, energy));
+    for (v, a) in fig11_cells().maps {
+        let (n, area, energy) = post_mapped(v, a)?;
+        rows.push((v.get()?.spec.name.clone(), n, area, energy));
     }
-    for v in camera_ladder()? {
-        let (n, area, energy) = post_mapping(v, camera)?;
-        rows.push((v.spec.name.clone(), n, area, energy));
-    }
-    let (base_area, base_energy) = (rows[0].2, rows[0].3);
+    let Some(&(_, _, base_area, base_energy)) = rows.first() else {
+        return Ok(t);
+    };
     for (name, n, area, energy) in rows {
         t.push(vec![
             name,
@@ -143,6 +209,13 @@ pub fn fig11() -> Result<Table, ApexError> {
     Ok(t)
 }
 
+fn table2_cells() -> Cells {
+    Cells {
+        evals: base_and_ladder().map(|v| (v, "camera", true)).collect(),
+        ..Cells::default()
+    }
+}
+
 /// Table 2: camera-pipeline performance per mm² across the ladder
 /// (pipelined designs at the 1.1 ns clock, 1920×1080 frames).
 ///
@@ -153,16 +226,8 @@ pub fn table2() -> Result<Table, ApexError> {
         "Table 2: Camera pipeline on each PE variant (1.1 ns clock)",
         &["PE Variant", "#PEs", "Area/PE um2", "Total Area um2", "Frames/ms/mm2"],
     );
-    let camera = app("camera")?;
-    let mut variants: Vec<(&str, &PeVariant)> = vec![("PE Base", baseline()?)];
-    let ladder = camera_ladder()?;
-    let names = ["PE 1", "PE 2", "PE 3", "PE 4"];
-    for (n, v) in names.iter().zip(ladder.iter()) {
-        variants.push((n, v));
-    }
-    let batch: Vec<(&PeVariant, &Application, bool)> =
-        variants.iter().map(|(_, v)| (*v, camera, true)).collect();
-    for ((name, _), e) in variants.iter().zip(run_batch(&batch)?) {
+    let names = ["PE Base", "PE 1", "PE 2", "PE 3", "PE 4"];
+    for (name, e) in names.iter().zip(evaluations(&table2_cells())?) {
         let area_per_pe = e.pe_core_area / e.pnr.pe_tiles as f64;
         t.push(vec![
             (*name).to_owned(),
@@ -175,6 +240,38 @@ pub fn table2() -> Result<Table, ApexError> {
     Ok(t)
 }
 
+fn fig12_cells() -> Cells {
+    let variants = [Shared::Baseline, Shared::Ip, Shared::Ip2, Shared::Ip3];
+    Cells {
+        maps: analyzed_in(Domain::ImageProcessing)
+            .flat_map(|a| variants.map(|v| (v, name(a))))
+            .collect(),
+        ..Cells::default()
+    }
+}
+
+/// Post-mapping rows of `a`'s `variants`, normalized to `base`: every
+/// variant is built before any is mapped.
+///
+/// # Errors
+/// The first build error, then the first mapping error.
+fn vs_base(
+    base: PostMapping,
+    variants: &[(Shared, &'static str)],
+) -> Result<Vec<(&'static PeVariant, PostMapping, f64, f64)>, ApexError> {
+    let (_, base_area, base_energy) = base;
+    let built: Vec<&'static PeVariant> = variants
+        .iter()
+        .map(|&(v, _)| v.get())
+        .collect::<Result<_, _>>()?;
+    let mut rows = Vec::new();
+    for (variant, &(v, a)) in built.into_iter().zip(variants) {
+        let m = post_mapped(v, a)?;
+        rows.push((variant, m, m.1 / base_area, m.2 / base_energy));
+    }
+    Ok(rows)
+}
+
 /// Fig. 12: PE IP vs PE IP2 vs PE IP3 across the four IP applications
 /// (post-mapping PE area and energy, normalized to the baseline PE).
 ///
@@ -185,20 +282,28 @@ pub fn fig12() -> Result<Table, ApexError> {
         "Fig. 12: Degree of merging across IP applications (vs baseline)",
         &["Application", "Variant", "#PEs", "Area vs base", "Energy vs base"],
     );
-    for a in ip_apps() {
-        let (_, base_area, base_energy) = post_mapping(baseline()?, &a)?;
-        for v in [pe_ip()?, pe_ip2()?, pe_ip3()?] {
-            let (n, area, energy) = post_mapping(v, &a)?;
+    for row in fig12_cells().maps.chunks(4) {
+        let [(base, a), variants @ ..] = row else { continue };
+        for (v, (n, _, _), area, energy) in vs_base(post_mapped(*base, a)?, variants)? {
             t.push(vec![
-                a.info.name.clone(),
+                (*a).to_owned(),
                 v.spec.name.clone(),
                 n.to_string(),
-                format!("{:.2}x", area / base_area),
-                format!("{:.2}x", energy / base_energy),
+                format!("{area:.2}x"),
+                format!("{energy:.2}x"),
             ]);
         }
     }
     Ok(t)
+}
+
+fn fig13_cells() -> Cells {
+    Cells {
+        maps: unseen()
+            .flat_map(|a| [Shared::Baseline, Shared::Ip].map(|v| (v, name(a))))
+            .collect(),
+        ..Cells::default()
+    }
 }
 
 /// Fig. 13: applications *not* analyzed during PE IP creation, on the
@@ -211,11 +316,12 @@ pub fn fig13() -> Result<Table, ApexError> {
         "Fig. 13: Unseen applications on PE IP (vs baseline PE)",
         &["Application", "#PEs base", "#PEs IP", "Area vs base", "Energy vs base"],
     );
-    for a in unseen_apps() {
-        let (nb, base_area, base_energy) = post_mapping(baseline()?, &a)?;
-        let (ni, area, energy) = post_mapping(pe_ip()?, &a)?;
+    for row in fig13_cells().maps.chunks(2) {
+        let &[(base, a), (ip, _)] = row else { continue };
+        let (nb, base_area, base_energy) = post_mapped(base, a)?;
+        let (ni, area, energy) = post_mapped(ip, a)?;
         t.push(vec![
-            a.info.name.clone(),
+            a.to_owned(),
             nb.to_string(),
             ni.to_string(),
             format!("{:.2}x", area / base_area),
@@ -225,11 +331,18 @@ pub fn fig13() -> Result<Table, ApexError> {
     Ok(t)
 }
 
-/// The domain variant evaluated against an application in Figs. 14–16.
-fn domain_variant(a: &Application) -> Result<&'static PeVariant, ApexError> {
-    match a.info.domain {
-        Domain::ImageProcessing => pe_ip(),
-        Domain::MachineLearning => pe_ml(),
+/// Per analyzed application: the baseline, its domain variant and its
+/// PE Spec (Figs. 14 and 15).
+fn base_domain_spec() -> impl Iterator<Item = (Shared, &'static str)> {
+    analyzed().flat_map(|a| {
+        [Shared::Baseline, Shared::domain(a), Shared::Spec(name(a))].map(|v| (v, name(a)))
+    })
+}
+
+fn fig14_cells() -> Cells {
+    Cells {
+        maps: base_domain_spec().collect(),
+        ..Cells::default()
     }
 }
 
@@ -243,26 +356,32 @@ pub fn fig14() -> Result<Table, ApexError> {
         "Fig. 14: Post-mapping PE-core area (normalized to baseline)",
         &["Application", "Variant", "#PEs", "Area vs base"],
     );
-    for a in all_apps().iter().take(6) {
-        let (nb, base_area, _) = post_mapping(baseline()?, a)?;
+    for row in fig14_cells().maps.chunks(3) {
+        let [(base, a), variants @ ..] = row else { continue };
+        let base = post_mapped(*base, a)?;
         t.push(vec![
-            a.info.name.clone(),
+            (*a).to_owned(),
             "pe_base".into(),
-            nb.to_string(),
+            base.0.to_string(),
             "1.00x".into(),
         ]);
-        let domain = domain_variant(a)?;
-        for v in [domain, pe_spec(&a.info.name)?] {
-            let (n, area, _) = post_mapping(v, a)?;
+        for (v, (n, _, _), area, _) in vs_base(base, variants)? {
             t.push(vec![
-                a.info.name.clone(),
+                (*a).to_owned(),
                 v.spec.name.clone(),
                 n.to_string(),
-                format!("{:.2}x", area / base_area),
+                format!("{area:.2}x"),
             ]);
         }
     }
     Ok(t)
+}
+
+fn fig15_cells() -> Cells {
+    Cells {
+        evals: base_domain_spec().map(|(v, a)| (v, a, false)).collect(),
+        ..Cells::default()
+    }
 }
 
 /// Fig. 15: post-place-and-route CGRA area and energy including the
@@ -275,23 +394,14 @@ pub fn fig15() -> Result<Table, ApexError> {
         "Fig. 15: Post-PnR CGRA area/energy incl. interconnect (vs baseline)",
         &["Application", "Variant", "Area vs base", "Energy vs base", "SB area vs base", "CB area vs base"],
     );
-    // per analyzed app: baseline, domain variant, per-app PE Spec
-    let mut batch: Vec<(&PeVariant, &Application, bool)> = Vec::new();
-    for a in all_apps().iter().take(6) {
-        batch.push((baseline()?, a, false));
-        batch.push((domain_variant(a)?, a, false));
-        batch.push((pe_spec(&a.info.name)?, a, false));
-    }
-    let mut results = run_batch(&batch)?.into_iter();
-    for a in all_apps().iter().take(6) {
-        let (base, dom, spec) = match (results.next(), results.next(), results.next()) {
-            (Some(b), Some(d), Some(s)) => (b, d, s),
-            _ => unreachable!("run_batch returns one result per job"),
-        };
-        for (v, e) in [(domain_variant(a)?, dom), (pe_spec(&a.info.name)?, spec)] {
+    let cells = fig15_cells();
+    let results = evaluations(&cells)?;
+    for (row, results) in cells.evals.chunks(3).zip(results.chunks(3)) {
+        let ([_, variants @ ..], [base, results @ ..]) = (row, results) else { continue };
+        for (&(v, a, _), e) in variants.iter().zip(results) {
             t.push(vec![
-                a.info.name.clone(),
-                v.spec.name.clone(),
+                a.to_owned(),
+                v.get()?.spec.name.clone(),
                 format!("{:.2}x", e.area.total() / base.area.total()),
                 format!(
                     "{:.2}x",
@@ -305,6 +415,17 @@ pub fn fig15() -> Result<Table, ApexError> {
     Ok(t)
 }
 
+fn table3_cells() -> Cells {
+    let base = analyzed().map(|a| (Shared::Baseline, name(a)));
+    let ip = analyzed_in(Domain::ImageProcessing)
+        .flat_map(|a| [(Shared::Ip, name(a)), (Shared::Spec(name(a)), name(a))]);
+    let ml = analyzed_in(Domain::MachineLearning).map(|a| (Shared::Ml, name(a)));
+    Cells {
+        evals: base.chain(ip).chain(ml).map(|(v, a)| (v, a, true)).collect(),
+        ..Cells::default()
+    }
+}
+
 /// Table 3: post-pipelining resource utilization of the CGRA per
 /// application and variant.
 ///
@@ -315,28 +436,16 @@ pub fn table3() -> Result<Table, ApexError> {
         "Table 3: Post-pipelining resource utilization",
         &["Variant", "Application", "#PE", "#MEM", "#RF", "#IO", "#Reg", "#Routing"],
     );
-    let mut batch: Vec<(&PeVariant, &Application, bool)> = Vec::new();
-    let mut labels: Vec<(&str, &Application)> = Vec::new();
-    for a in all_apps().iter().take(6) {
-        batch.push((baseline()?, a, true));
-        labels.push(("baseline", a));
-    }
-    for a in ip_apps() {
-        let a = app(&a.info.name)?;
-        batch.push((pe_ip()?, a, true));
-        labels.push(("pe_ip", a));
-        batch.push((pe_spec(&a.info.name)?, a, true));
-        labels.push(("pe_spec", a));
-    }
-    for a in ml_apps() {
-        let a = app(&a.info.name)?;
-        batch.push((pe_ml()?, a, true));
-        labels.push(("pe_ml", a));
-    }
-    for ((variant_name, a), e) in labels.iter().zip(run_batch(&batch)?) {
+    let cells = table3_cells();
+    for (&(v, a, _), e) in cells.evals.iter().zip(evaluations(&cells)?) {
+        let label = match v {
+            Shared::Baseline => "baseline".to_owned(),
+            Shared::Spec(_) => "pe_spec".to_owned(),
+            v => v.get()?.spec.name.clone(),
+        };
         t.push(vec![
-            (*variant_name).to_owned(),
-            a.info.name.clone(),
+            label,
+            a.to_owned(),
             e.pnr.pe_tiles.to_string(),
             e.pnr.mem_tiles.to_string(),
             e.pnr.rf_tiles.to_string(),
@@ -348,6 +457,19 @@ pub fn table3() -> Result<Table, ApexError> {
     Ok(t)
 }
 
+fn fig16_cells() -> Cells {
+    Cells {
+        evals: analyzed()
+            .flat_map(|a| {
+                [Shared::Baseline, Shared::domain(a)]
+                    .into_iter()
+                    .flat_map(move |v| [(v, name(a), false), (v, name(a), true)])
+            })
+            .collect(),
+        ..Cells::default()
+    }
+}
+
 /// Fig. 16: pre- vs post-pipelining area, energy, and performance/mm².
 ///
 /// # Errors
@@ -357,31 +479,78 @@ pub fn fig16() -> Result<Table, ApexError> {
         "Fig. 16: Impact of PE and application pipelining",
         &["Application", "Variant", "Period pre ns", "Period post ns", "Perf/mm2 gain", "Area cost", "#RF", "#Reg"],
     );
-    let mut batch: Vec<(&PeVariant, &Application, bool)> = Vec::new();
-    for a in all_apps().iter().take(6) {
-        for v in [baseline()?, domain_variant(a)?] {
-            batch.push((v, a, false));
-            batch.push((v, a, true));
-        }
+    let cells = fig16_cells();
+    let results = evaluations(&cells)?;
+    for (pair, results) in cells.evals.chunks(2).zip(results.chunks(2)) {
+        let ([(v, a, _), _], [pre, post]) = (pair, results) else { continue };
+        t.push(vec![
+            (*a).to_owned(),
+            v.get()?.spec.name.clone(),
+            format!("{:.2}", pre.period_ns),
+            format!("{:.2}", post.period_ns),
+            format!("{:.2}x", post.perf_per_mm2() / pre.perf_per_mm2()),
+            format!("{:.2}x", post.area.total() / pre.area.total()),
+            post.pnr.rf_tiles.to_string(),
+            post.pnr.sb_regs.to_string(),
+        ]);
     }
-    let mut results = run_batch(&batch)?.into_iter();
-    for a in all_apps().iter().take(6) {
-        for v in [baseline()?, domain_variant(a)?] {
-            let (pre, post) = match (results.next(), results.next()) {
-                (Some(pre), Some(post)) => (pre, post),
-                _ => unreachable!("run_batch returns one result per job"),
-            };
-            t.push(vec![
+    Ok(t)
+}
+
+/// The pipelined baseline and `v` on each analyzed application of
+/// `domain` (Figs. 17 and 18).
+fn base_and(domain: Domain, v: Shared) -> Cells {
+    Cells {
+        evals: analyzed_in(domain)
+            .flat_map(|a| [(Shared::Baseline, name(a), true), (v, name(a), true)])
+            .collect(),
+        ..Cells::default()
+    }
+}
+
+fn fig17_cells() -> Cells {
+    base_and(Domain::ImageProcessing, Shared::Ip)
+}
+
+fn fig18_cells() -> Cells {
+    base_and(Domain::MachineLearning, Shared::Ml)
+}
+
+/// An analytic comparator platform (see [`crate::baselines`]).
+type Comparator = fn(&Application, &apex_tech::TechModel) -> crate::PlatformResult;
+
+/// Per-frame energy and runtime of each application of `cells` on an
+/// FPGA, on the two CGRAs of its cells (named by `cgras`), and on the
+/// `other` comparator platform (Figs. 17 and 18).
+///
+/// # Errors
+/// Propagates variant-construction and evaluation failures.
+fn platforms(
+    title: &str,
+    cells: &Cells,
+    cgras: [&str; 2],
+    other: (&str, Comparator),
+) -> Result<Table, ApexError> {
+    let mut t = Table::new(title, &["Application", "Platform", "Energy uJ", "Runtime ms"]);
+    let results = evaluations(cells)?;
+    for (pair, results) in cells.evals.chunks(2).zip(results.chunks(2)) {
+        let [(_, a, _), _] = pair else { continue };
+        let a = app(a)?;
+        let row = |platform: &str, energy_uj: f64, runtime_ms: f64| {
+            vec![
                 a.info.name.clone(),
-                v.spec.name.clone(),
-                format!("{:.2}", pre.period_ns),
-                format!("{:.2}", post.period_ns),
-                format!("{:.2}x", post.perf_per_mm2() / pre.perf_per_mm2()),
-                format!("{:.2}x", post.area.total() / pre.area.total()),
-                post.pnr.rf_tiles.to_string(),
-                post.pnr.sb_regs.to_string(),
-            ]);
+                platform.to_owned(),
+                format!("{energy_uj:.1}"),
+                format!("{runtime_ms:.3}"),
+            ]
+        };
+        let f = fpga(a, tech());
+        t.push(row("FPGA", f.energy_uj, f.runtime_ms));
+        for (name, e) in cgras.iter().zip(results) {
+            t.push(row(name, e.total_energy_uj(), e.runtime_ms()));
         }
+        let s = (other.1)(a, tech());
+        t.push(row(other.0, s.energy_uj, s.runtime_ms));
     }
     Ok(t)
 }
@@ -392,46 +561,12 @@ pub fn fig16() -> Result<Table, ApexError> {
 /// # Errors
 /// Propagates variant-construction and evaluation failures.
 pub fn fig17() -> Result<Table, ApexError> {
-    let mut t = Table::new(
+    platforms(
         "Fig. 17: FPGA vs baseline CGRA vs CGRA-IP vs ASIC (per frame)",
-        &["Application", "Platform", "Energy uJ", "Runtime ms"],
-    );
-    let mut batch: Vec<(&PeVariant, &Application, bool)> = Vec::new();
-    for a in ip_apps() {
-        let a = app(&a.info.name)?;
-        batch.push((baseline()?, a, true));
-        batch.push((pe_ip()?, a, true));
-    }
-    let mut results = run_batch(&batch)?.into_iter();
-    for a in ip_apps() {
-        let a = app(&a.info.name)?;
-        let f = fpga(a, tech());
-        t.push(vec![
-            a.info.name.clone(),
-            "FPGA".into(),
-            format!("{:.1}", f.energy_uj),
-            format!("{:.3}", f.runtime_ms),
-        ]);
-        for name in ["CGRA base", "CGRA-IP"] {
-            let Some(e) = results.next() else {
-                unreachable!("run_batch returns one result per job")
-            };
-            t.push(vec![
-                a.info.name.clone(),
-                name.into(),
-                format!("{:.1}", e.total_energy_uj()),
-                format!("{:.3}", e.runtime_ms()),
-            ]);
-        }
-        let s = asic(a, tech());
-        t.push(vec![
-            a.info.name.clone(),
-            "ASIC".into(),
-            format!("{:.1}", s.energy_uj),
-            format!("{:.3}", s.runtime_ms),
-        ]);
-    }
-    Ok(t)
+        &fig17_cells(),
+        ["CGRA base", "CGRA-IP"],
+        ("ASIC", asic),
+    )
 }
 
 /// Fig. 18: ML layers on an FPGA, the baseline CGRA, CGRA-ML, and Simba.
@@ -439,46 +574,12 @@ pub fn fig17() -> Result<Table, ApexError> {
 /// # Errors
 /// Propagates variant-construction and evaluation failures.
 pub fn fig18() -> Result<Table, ApexError> {
-    let mut t = Table::new(
+    platforms(
         "Fig. 18: ML applications vs FPGA and Simba (per layer)",
-        &["Application", "Platform", "Energy uJ", "Runtime ms"],
-    );
-    let mut batch: Vec<(&PeVariant, &Application, bool)> = Vec::new();
-    for a in ml_apps() {
-        let a = app(&a.info.name)?;
-        batch.push((baseline()?, a, true));
-        batch.push((pe_ml()?, a, true));
-    }
-    let mut results = run_batch(&batch)?.into_iter();
-    for a in ml_apps() {
-        let a = app(&a.info.name)?;
-        let f = fpga(a, tech());
-        t.push(vec![
-            a.info.name.clone(),
-            "FPGA".into(),
-            format!("{:.1}", f.energy_uj),
-            format!("{:.3}", f.runtime_ms),
-        ]);
-        for name in ["CGRA base", "CGRA-ML"] {
-            let Some(e) = results.next() else {
-                unreachable!("run_batch returns one result per job")
-            };
-            t.push(vec![
-                a.info.name.clone(),
-                name.into(),
-                format!("{:.1}", e.total_energy_uj()),
-                format!("{:.3}", e.runtime_ms()),
-            ]);
-        }
-        let s = simba(a, tech());
-        t.push(vec![
-            a.info.name.clone(),
-            "Simba".into(),
-            format!("{:.1}", s.energy_uj),
-            format!("{:.3}", s.runtime_ms),
-        ]);
-    }
-    Ok(t)
+        &fig18_cells(),
+        ["CGRA base", "CGRA-ML"],
+        ("Simba", simba),
+    )
 }
 
 /// Every experiment, keyed by its paper identifier.
@@ -497,48 +598,6 @@ pub fn all_experiments() -> Vec<(&'static str, fn() -> Result<Table, ApexError>)
         ("fig17", fig17),
         ("fig18", fig18),
     ]
-}
-
-/// The shared variants experiment `id` reads (none for an unknown id).
-fn needs(id: &str) -> Vec<Shared> {
-    // PE Spec for each analyzed application of `domain` (all six for None)
-    let spec = |domain: Option<Domain>| -> Vec<Shared> {
-        all_apps()
-            .iter()
-            .take(6)
-            .filter(|a| domain.is_none_or(|d| a.info.domain == d))
-            .map(|a| Shared::Spec(a.info.name.as_str()))
-            .collect()
-    };
-    let mut out = match id {
-        "fig11" | "table2" => vec![Shared::CameraLadder],
-        "fig12" => vec![Shared::Ip, Shared::Ip2, Shared::Ip3],
-        "fig13" | "fig17" => vec![Shared::Ip],
-        "fig14" | "fig15" => [spec(None), vec![Shared::Ip, Shared::Ml]].concat(),
-        "table3" => [spec(Some(Domain::ImageProcessing)), vec![Shared::Ip, Shared::Ml]].concat(),
-        "fig16" => vec![Shared::Ip, Shared::Ml],
-        "fig18" => vec![Shared::Ml],
-        _ => return Vec::new(),
-    };
-    out.push(Shared::Baseline);
-    out
-}
-
-/// Builds every shared variant the experiments `ids` read, on the job
-/// pool and PE Spec searches first, so that the experiments (which still run one
-/// after another and read their variants lazily) find them memoized.
-/// Nested fan-out inside a build runs inline (see [`apex_par::par_map`]),
-/// so the warm-up never runs more than `jobs` builds at once. A build
-/// error is left for the experiment that reads the variant to report; an
-/// interrupt skips the builds not yet started.
-pub fn warm_up(ids: &[&str]) {
-    let shared: BTreeSet<Shared> = ids.iter().flat_map(|id| needs(id)).collect();
-    let shared: Vec<Shared> = shared.into_iter().collect();
-    apex_par::par_map(apex_par::default_jobs(), &shared, |_, v| {
-        if !apex_fault::interrupt::interrupted() {
-            let _ = v.build();
-        }
-    });
 }
 
 // The experiment generators double as this crate's deep integration

@@ -3,7 +3,9 @@
 //! One generator per table and figure of Section 5 (see
 //! [`experiments::all_experiments`]), built on the shared, cached PE
 //! variants of [`context`] and the analytic FPGA/ASIC/Simba comparators of
-//! [`baselines`]. The `report` binary prints everything:
+//! [`baselines`]. [`warm_up`] computes the cells the experiments about to
+//! run declare, each once and in parallel, so that they only format. The
+//! `report` binary prints everything:
 //!
 //! ```bash
 //! cargo run --release -p apex-eval --bin report            # all experiments
@@ -16,6 +18,7 @@
 pub mod baselines;
 pub mod context;
 pub mod experiments;
+mod plan;
 pub mod table;
 
 pub use baselines::{asic, fpga, simba, PlatformResult};
@@ -23,5 +26,6 @@ pub use context::{
     all_apps, app, baseline, camera_ladder, pe_ip, pe_ip2, pe_ip3, pe_ml, pe_spec, run,
     run_batch, tech,
 };
-pub use experiments::{all_experiments, warm_up};
+pub use experiments::all_experiments;
+pub use plan::{cells_computed_inline, warm_up};
 pub use table::Table;

@@ -1,4 +1,4 @@
-//! # apex-par — bounded work-stealing job pool for DSE sweeps
+//! # apex-par — bounded, in-order job pool for DSE sweeps
 //!
 //! APEX's evaluation is a grid of (PE variant × application) runs, and
 //! several inner stages (mining per application, rewrite-rule synthesis
@@ -9,10 +9,10 @@
 //!   item (the pre-pool synthesis code spawned a thread per template and
 //!   oversubscribed the machine on large applications), and a `par_map`
 //!   nested inside a job runs inline rather than multiplying the workers;
-//! * **work-stealing** — each worker owns a contiguous slice of the item
-//!   range and, when it runs dry, steals the far half of the largest
-//!   remaining slice (lazy binary splitting), so a few slow items cannot
-//!   strand the rest of the pool;
+//! * **longest first** — workers claim items one at a time from a shared
+//!   counter, so items start in input order and an idle worker always
+//!   takes the next one: a caller that lists its longest items first
+//!   never strands a slow item at the end of the run;
 //! * **deterministic** — results come back in input order regardless of
 //!   which worker ran which item, so a parallel sweep is bit-identical to
 //!   the serial one;
@@ -111,75 +111,6 @@ thread_local! {
     static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// One worker's share of the item range, packed `next << 32 | end` so the
-/// owner (popping from the front) and thieves (halving from the back) can
-/// race over it with plain compare-exchange loops.
-struct Range(AtomicU64);
-
-const fn pack(next: u32, end: u32) -> u64 {
-    ((next as u64) << 32) | end as u64
-}
-
-const fn unpack(v: u64) -> (u32, u32) {
-    ((v >> 32) as u32, (v & 0xFFFF_FFFF) as u32)
-}
-
-impl Range {
-    fn new(start: usize, end: usize) -> Self {
-        Range(AtomicU64::new(pack(start as u32, end as u32)))
-    }
-
-    /// Owner side: claim the front item of the range.
-    fn pop_front(&self) -> Option<usize> {
-        let mut cur = self.0.load(Ordering::Acquire);
-        loop {
-            let (next, end) = unpack(cur);
-            if next >= end {
-                return None;
-            }
-            match self.0.compare_exchange_weak(
-                cur,
-                pack(next + 1, end),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some(next as usize),
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Thief side: split off the far half of the range, returning the
-    /// stolen sub-range.
-    fn steal_half(&self) -> Option<(usize, usize)> {
-        let mut cur = self.0.load(Ordering::Acquire);
-        loop {
-            let (next, end) = unpack(cur);
-            if next >= end {
-                return None;
-            }
-            let keep = next + (end - next).div_ceil(2);
-            if keep >= end {
-                return None;
-            }
-            match self.0.compare_exchange_weak(
-                cur,
-                pack(next, keep),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some((keep as usize, end as usize)),
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    fn remaining(&self) -> usize {
-        let (next, end) = unpack(self.0.load(Ordering::Acquire));
-        end.saturating_sub(next) as usize
-    }
-}
-
 /// Maps `f` over `items` on at most `jobs` worker threads, returning the
 /// results **in input order**. `f` receives `(index, &item)`.
 ///
@@ -207,38 +138,26 @@ where
         return (0..n).map(run_one).collect();
     }
 
-    // block-distribute the range; idle workers rebalance by stealing
-    let ranges: Vec<Range> = (0..workers)
-        .map(|w| Range::new(w * n / workers, (w + 1) * n / workers))
-        .collect();
+    // workers claim items one at a time from a shared counter, so items
+    // start in input order: a caller that lists its longest items first
+    // gets longest-first scheduling
+    let next = AtomicUsize::new(0);
     let mut buckets: Vec<Vec<(usize, Result<R, JobPanic>)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let ranges = &ranges;
-                let run_one = &run_one;
+            .map(|_| {
+                let (next, run_one) = (&next, &run_one);
                 scope.spawn(move || {
                     IN_WORKER.with(|w| w.set(true));
                     let mut out: Vec<(usize, Result<R, JobPanic>)> = Vec::new();
                     loop {
-                        // drain our own range from the front
-                        while let Some(i) = ranges[w].pop_front() {
-                            out.push((i, run_one(i)));
+                        // Relaxed: the counter only hands out indices;
+                        // results travel back through the scope's joins
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break out;
                         }
-                        // steal the far half of the largest remaining range
-                        let victim = (0..ranges.len())
-                            .filter(|&v| v != w)
-                            .max_by_key(|&v| ranges[v].remaining())
-                            .filter(|&v| ranges[v].remaining() > 0);
-                        let Some(v) = victim else { break };
-                        if let Some((s, e)) = ranges[v].steal_half() {
-                            for i in s..e {
-                                out.push((i, run_one(i)));
-                            }
-                        }
-                        // a failed steal (someone else got there first) just
-                        // loops back to look for the next victim
+                        out.push((i, run_one(i)));
                     }
-                    out
                 })
             })
             .collect();
@@ -691,10 +610,9 @@ mod tests {
     }
 
     #[test]
-    fn unbalanced_work_is_stolen() {
-        // front-loaded cost: with block distribution and no stealing,
-        // worker 0 would run ~all the slow items serially. The test
-        // asserts more than one worker participates in the slow half.
+    fn unbalanced_work_is_shared() {
+        // front-loaded cost: every worker must take part, and every item
+        // must still complete
         let items: Vec<usize> = (0..32).collect();
         let seen = AtomicUsize::new(0);
         let out = par_map(4, &items, |_, &x| {
@@ -707,6 +625,35 @@ mod tests {
         assert_eq!(seen.load(Ordering::Relaxed), 32);
         assert_eq!(out.len(), 32);
         assert!(out.iter().all(|r| r.is_ok()));
+    }
+
+    #[test]
+    fn every_item_runs_exactly_once_under_contention() {
+        let items: Vec<usize> = (0..10_000).collect();
+        let runs: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
+        let out = par_map(4, &items, |i, &x| {
+            runs[i].fetch_add(1, Ordering::Relaxed);
+            x + 1
+        });
+        assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
+        let got: Vec<usize> = out.into_iter().map(|r| r.unwrap()).collect();
+        assert_eq!(got, (1..=10_000).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn items_start_in_input_order() {
+        // item i is claimed after items 0..i, and each of the other
+        // workers holds at most one claimed item it has not started yet,
+        // so at most `jobs - 1` items can start out of order before it
+        // (a block distribution would start item n/jobs second)
+        let jobs = 4;
+        let items: Vec<usize> = (0..400).collect();
+        let started = AtomicUsize::new(0);
+        let out = par_map(jobs, &items, |_, _| started.fetch_add(1, Ordering::SeqCst));
+        for (i, r) in out.into_iter().enumerate() {
+            let seq = r.unwrap();
+            assert!(seq + jobs > i, "item {i} started {seq}th");
+        }
     }
 
     #[test]
@@ -724,21 +671,6 @@ mod tests {
         let out = par_map(64, &items, |_, &x| x);
         assert_eq!(out.len(), 3);
         assert!(out.iter().enumerate().all(|(i, r)| *r.as_ref().unwrap() == i));
-    }
-
-    #[test]
-    fn range_steal_takes_far_half() {
-        let r = Range::new(0, 10);
-        assert_eq!(r.pop_front(), Some(0));
-        let (s, e) = r.steal_half().unwrap();
-        // 9 items remain [1,10); thief takes the far ceil-half [5.5]→[6,10)
-        assert_eq!((s, e), (6, 10));
-        assert_eq!(r.remaining(), 5);
-        let mut owned = Vec::new();
-        while let Some(i) = r.pop_front() {
-            owned.push(i);
-        }
-        assert_eq!(owned, vec![1, 2, 3, 4, 5]);
     }
 
     #[test]

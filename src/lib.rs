@@ -18,7 +18,7 @@
 //! | [`map`] | instruction selection onto PEs (§4.1.2) |
 //! | [`pipeline`] | PE + application pipelining (§4.2–4.3) |
 //! | [`cgra`] | fabric generation, place-and-route, bitstreams (§2, §5.3) |
-//! | [`par`] | bounded work-stealing job pool for parallel sweeps |
+//! | [`par`] | bounded, in-order job pool for parallel sweeps |
 //! | [`verify`] | cross-stage static invariant verifier (`apex verify`) |
 //! | [`core`] | the DSE driver: variants + full-flow evaluation (§4) |
 //! | [`eval`] | the experiment harness regenerating every table/figure (§5) |

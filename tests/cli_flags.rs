@@ -201,6 +201,33 @@ fn report_warm_up_builds_only_what_runs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A warm `apex report` makes one cache lookup per entry on disk, and
+/// every lookup hits: no variant is built, and each PE Spec search is one
+/// entry rather than one per step. (Compiled out under `fault-injection`,
+/// where the cache is bypassed.)
+#[cfg(not(feature = "fault-injection"))]
+#[test]
+fn warm_report_hits_every_cache_entry_once() {
+    let dir = scratch("warm");
+    let cache = dir.join("cache");
+    let cache_s = cache.to_string_lossy().into_owned();
+    let envs = [("APEX_CACHE_DIR", cache_s.as_str()), ("APEX_JOURNAL", "off")];
+    let (code, _, stderr) = apex_env(&["report", "--jobs", "2"], &envs);
+    assert_eq!(code, 0, "cold report succeeds\nstderr: {stderr}");
+    let entries = std::fs::read_dir(&cache).expect("the cache was filled").count();
+    assert!(
+        stderr.contains(&format!("cache: 0 hit(s), {entries} miss(es)")),
+        "cold: {entries} entries; {stderr}"
+    );
+    let (code, _, stderr) = apex_env(&["report", "--jobs", "2"], &envs);
+    assert_eq!(code, 0, "warm report succeeds\nstderr: {stderr}");
+    assert!(
+        stderr.contains(&format!("cache: {entries} hit(s), 0 miss(es)")),
+        "warm: {entries} entries; {stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn unknown_application_exits_nonzero() {
     let (code, stderr) = apex(&["dse", "no-such-app"]);
