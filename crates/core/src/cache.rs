@@ -10,7 +10,8 @@
 //!   round-trips exactly — two structurally identical graphs hash equal),
 //! * the [`MinerConfig`], [`SubgraphSelection`], [`MergeOptions`] and
 //!   [`TechModel`] (via their `Debug` form — any field change changes the
-//!   key), and
+//!   key — except the wall-clock parts of a budget, its deadline and
+//!   cancel flag: variants those stopped are never stored), and
 //! * a codec format version, so stale entries from older builds can never
 //!   be misread (they simply miss).
 //!
@@ -32,7 +33,7 @@
 
 use crate::variant::{PeVariant, SubgraphSelection};
 use apex_apps::Application;
-use apex_fault::{ApexError, Degradation, DegradationKind, Stage};
+use apex_fault::{ApexError, Degradation, DegradationKind, Stage, StageBudget};
 use apex_ir::{from_text, op_from_token, op_to_token, to_text, Graph, NodeId, OpKind};
 use apex_merge::{DatapathConfig, DpNode, DpSource, MergeOptions, MergedDatapath, NodeConfig};
 use apex_mining::MinerConfig;
@@ -99,6 +100,18 @@ pub fn variant_cache_key(
     for app in eval_apps {
         parts.push(to_text(&app.graph));
     }
+    // a budget's deadline and cancel flag decide whether a build finishes,
+    // never what a finished build is, so the key leaves them out (builds
+    // they stopped are not stored: see `get_or_build`); step and memory
+    // budgets are deterministic and stay in
+    let miner = miner.map(|m| MinerConfig {
+        budget: steps_only(&m.budget),
+        ..m.clone()
+    });
+    let merge_opts = merge_opts.map(|m| MergeOptions {
+        budget: steps_only(&m.budget),
+        ..m.clone()
+    });
     parts.push(format!("miner:{miner:?}"));
     parts.push(format!("selection:{selection:?}"));
     parts.push(format!("merge:{merge_opts:?}"));
@@ -106,6 +119,15 @@ pub fn variant_cache_key(
     parts.push(format!("extra:{extra_kinds:?}"));
     let refs: Vec<&str> = parts.iter().map(String::as_str).collect();
     fnv1a(&refs)
+}
+
+/// `budget` without its wall-clock inputs (an unlimited budget is
+/// returned unchanged, so its key text is the same as ever).
+fn steps_only(budget: &StageBudget) -> StageBudget {
+    StageBudget {
+        max_steps: budget.max_steps,
+        ..StageBudget::unlimited()
+    }
 }
 
 /// A short fingerprint of a variant's architectural datapath — what the
@@ -409,7 +431,11 @@ impl VariantCache {
     }
 
     /// The memoizing entry point: returns the cached variant for `key`, or
-    /// builds, stores, and returns it. Build errors are never cached.
+    /// builds, stores, and returns it. Build errors are never cached, and
+    /// neither is a variant the wall clock cut short (a deadline or a
+    /// cancellation, [`Degradation::is_wall_clock`]): the key hashes no
+    /// wall-clock input, so every stored entry must be what an unhurried
+    /// build of the same key makes.
     ///
     /// # Errors
     /// Propagates the builder's error on a miss.
@@ -422,7 +448,9 @@ impl VariantCache {
             return Ok(v);
         }
         let v = build()?;
-        self.store(key, &v);
+        if !v.degradations.iter().any(Degradation::is_wall_clock) {
+            self.store(key, &v);
+        }
         Ok(v)
     }
 
@@ -1235,6 +1263,65 @@ mod tests {
         );
         assert_ne!(base, other_app);
         assert_ne!(base, other_sel);
+    }
+
+    #[test]
+    fn key_hashes_step_budgets_but_no_wall_clock_input() {
+        let g = gaussian();
+        let key = |miner: &MinerConfig, merge_opts: &MergeOptions| {
+            variant_cache_key(
+                "specialized",
+                "pe",
+                &[&g],
+                &[&g],
+                Some(miner),
+                Some(&SubgraphSelection::default()),
+                Some(merge_opts),
+                Some(&TechModel::default()),
+                &BTreeSet::new(),
+            )
+        };
+        let plain = key(&MinerConfig::default(), &MergeOptions::default());
+        let cancel = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
+        let hurried = StageBudget::unlimited()
+            .with_deadline(Duration::from_millis(60_000))
+            .with_cancel(cancel);
+        let miner = MinerConfig {
+            budget: hurried.clone(),
+            ..MinerConfig::default()
+        };
+        let merge_opts = MergeOptions {
+            budget: hurried.with_deadline(Duration::from_millis(90_000)),
+            ..MergeOptions::default()
+        };
+        assert_eq!(plain, key(&miner, &merge_opts), "deadline and cancel flag");
+        let stepped = MinerConfig {
+            budget: StageBudget::unlimited().with_max_steps(10),
+            ..MinerConfig::default()
+        };
+        assert_ne!(plain, key(&stepped, &MergeOptions::default()), "max_steps");
+    }
+
+    #[test]
+    fn builds_stopped_by_the_wall_clock_are_not_stored() {
+        let dir = std::env::temp_dir().join(format!("apex-cache-clock-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = VariantCache::at(&dir);
+        let clean = spec_variant();
+        let cases = [
+            (Degradation::from_provenance(Stage::Mine, apex_fault::Provenance::TimedOut), false),
+            (Degradation::from_provenance(Stage::Mine, apex_fault::Provenance::Cancelled), false),
+            (Degradation::from_provenance(Stage::Mine, apex_fault::Provenance::TruncatedByBudget), true),
+            (None, true),
+        ];
+        for (key, (degradation, stored)) in (1u64..).zip(cases) {
+            let mut v = clean.clone();
+            v.degradations.extend(degradation);
+            let built = cache.get_or_build(key, || Ok(v.clone())).unwrap();
+            assert_variants_equal(&built, &v);
+            assert_eq!(cache.load(key).is_some(), stored, "{:?}", v.degradations);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -481,6 +481,17 @@ impl Degradation {
         };
         Some(Degradation::new(stage, kind, format!("search {p}")))
     }
+
+    /// Whether the wall clock decided this degradation: a deadline
+    /// ([`DegradationKind::TimedOut`]) or an external cancellation (the
+    /// [`Degradation::from_provenance`] record of
+    /// [`Provenance::Cancelled`]). A result carrying one is not a pure
+    /// function of its inputs.
+    pub fn is_wall_clock(&self) -> bool {
+        self.kind == DegradationKind::TimedOut
+            || (self.kind == DegradationKind::Skipped
+                && self.detail.strip_prefix("search ") == Some(Provenance::Cancelled.marker()))
+    }
 }
 
 impl fmt::Display for Degradation {
@@ -1087,6 +1098,17 @@ mod tests {
             assert_eq!(DegradationKind::from_name(k.name()), Some(k), "{k:?}");
         }
         assert_eq!(DegradationKind::from_name("no-such-kind"), None);
+    }
+
+    #[test]
+    fn only_deadlines_and_cancellations_are_wall_clock() {
+        let of = |p| Degradation::from_provenance(Stage::Mine, p);
+        assert!(of(Provenance::TimedOut).is_some_and(|d| d.is_wall_clock()));
+        assert!(of(Provenance::Cancelled).is_some_and(|d| d.is_wall_clock()));
+        assert!(of(Provenance::TruncatedByBudget).is_some_and(|d| !d.is_wall_clock()));
+        assert!(of(Provenance::Partial).is_some_and(|d| !d.is_wall_clock()));
+        let failed = Degradation::new(Stage::Mine, DegradationKind::Skipped, "mining x failed");
+        assert!(!failed.is_wall_clock());
     }
 
     #[test]

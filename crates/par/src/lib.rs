@@ -30,7 +30,7 @@ use apex_fault::{ApexError, Stage};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A job panicked inside the pool; carries the stringified panic payload.
@@ -399,7 +399,8 @@ where
 /// draining), matching the workspace no-panic policy.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    /// Taken (and joined) by the first [`WorkerPool::shutdown`].
+    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 type PoolJob = Box<dyn FnOnce() + Send + 'static>;
@@ -421,7 +422,7 @@ struct PoolShared {
 impl fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("WorkerPool")
-            .field("workers", &self.workers.len())
+            .field("workers", &self.workers())
             .field("queued", &self.queued())
             .field("active", &self.active())
             .finish()
@@ -450,23 +451,27 @@ impl WorkerPool {
                     .unwrap_or_else(|_| std::thread::spawn(|| {}))
             })
             .collect();
-        WorkerPool { shared, workers }
+        WorkerPool {
+            shared,
+            workers: Mutex::new(workers),
+        }
     }
 
     /// Enqueues one job. Returns `false` (dropping the job) once shutdown
     /// has begun — the admission layer should have stopped submitting by
     /// then, but a racing submit must not resurrect a draining pool.
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) -> bool {
+        // checked under the queue lock, which shutdown also takes: a job
+        // is either queued before shutdown begins or refused
+        let Ok(mut q) = self.shared.queue.lock() else {
+            return false;
+        };
         if self.shared.shutdown.load(Ordering::SeqCst) {
             return false;
         }
-        if let Ok(mut q) = self.shared.queue.lock() {
-            q.push_back(Box::new(job));
-            self.shared.wake.notify_one();
-            true
-        } else {
-            false
-        }
+        q.push_back(Box::new(job));
+        self.shared.wake.notify_one();
+        true
     }
 
     /// Jobs enqueued but not yet picked up by a worker — the admission
@@ -485,9 +490,9 @@ impl WorkerPool {
         self.queued() + self.active()
     }
 
-    /// Number of worker threads.
+    /// Number of worker threads (0 once shut down).
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.workers.lock().map(|w| w.len()).unwrap_or(0)
     }
 
     /// Jobs that panicked (caught; the worker survived).
@@ -503,14 +508,27 @@ impl WorkerPool {
     /// journaled elsewhere and re-runs on resume). Either way, running
     /// jobs are never aborted — interrupt them cooperatively (e.g. via
     /// their `JobCtx`/budget cancel flags) before calling this if a
-    /// bounded shutdown time matters.
-    pub fn shutdown(self, drain_queue: bool) {
-        self.shared
-            .abandon_queue
-            .store(!drain_queue, Ordering::SeqCst);
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+    /// bounded shutdown time matters. Every later [`WorkerPool::submit`]
+    /// returns `false`; a second call returns at once.
+    pub fn shutdown(&self, drain_queue: bool) {
+        let abandoned = {
+            let mut q = self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            self.shared
+                .abandon_queue
+                .store(!drain_queue, Ordering::SeqCst);
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+            if drain_queue {
+                std::collections::VecDeque::new()
+            } else {
+                std::mem::take(&mut *q)
+            }
+        };
         self.shared.wake.notify_all();
-        for w in self.workers {
+        // dropped outside the lock: a job's captures may own anything
+        drop(abandoned);
+        let workers =
+            std::mem::take(&mut *self.workers.lock().unwrap_or_else(PoisonError::into_inner));
+        for w in workers {
             // worker bodies catch job panics; join failure is impossible,
             // and the no-panic policy forbids expect() regardless
             let _ = w.join();
@@ -836,6 +854,15 @@ mod tests {
         }
         pool.shutdown(true);
         assert_eq!(done.load(Ordering::SeqCst), 16, "drain shutdown runs the queue dry");
+    }
+
+    #[test]
+    fn worker_pool_refuses_jobs_once_shut_down() {
+        let pool = WorkerPool::new(2);
+        pool.shutdown(false);
+        assert_eq!(pool.workers(), 0, "shutdown joins every worker");
+        assert!(!pool.submit(|| {}), "a submit racing shutdown is refused");
+        pool.shutdown(true); // a second shutdown is a no-op
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::proto::{self, Fields};
 use apex_fault::{ApexError, Stage};
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -26,7 +26,8 @@ fn connect(addr: &str, timeout: Duration) -> Result<TcpStream, ApexError> {
     stream
         .set_read_timeout(Some(timeout))
         .and_then(|()| stream.set_write_timeout(Some(timeout)))
-        .map_err(|e| cli_err(format!("cannot set socket timeouts: {e}")))?;
+        .and_then(|()| stream.set_nodelay(true))
+        .map_err(|e| cli_err(format!("cannot set socket options: {e}")))?;
     Ok(stream)
 }
 
@@ -37,6 +38,7 @@ fn send_line(stream: &mut TcpStream, line: &str) -> Result<(), ApexError> {
     let io = |e: std::io::Error| cli_err(format!("send failed: {e}"));
     #[cfg(feature = "fault-injection")]
     if apex_fault::failpoints::should_fire("serve::slow_client") {
+        use std::io::Write;
         for b in line.as_bytes() {
             stream.write_all(std::slice::from_ref(b)).map_err(io)?;
             stream.flush().map_err(io)?;
@@ -45,37 +47,29 @@ fn send_line(stream: &mut TcpStream, line: &str) -> Result<(), ApexError> {
         stream.write_all(b"\n").map_err(io)?;
         return stream.flush().map_err(io);
     }
-    stream.write_all(line.as_bytes()).map_err(io)?;
-    stream.write_all(b"\n").map_err(io)?;
-    stream.flush().map_err(io)
+    proto::write_line(stream, line).map_err(io)
 }
 
 /// Reads one newline-terminated response line (bounded by the protocol
 /// line cap — the server is trusted more than a client, but not
 /// infinitely).
-fn read_line(stream: &mut TcpStream) -> Result<String, ApexError> {
+fn read_line(stream: &TcpStream) -> Result<String, ApexError> {
+    let cap = proto::MAX_LINE_BYTES as u64 + 1;
+    let mut reader = BufReader::new(stream).take(cap);
     let mut buf = Vec::new();
-    let mut byte = [0u8; 1];
-    loop {
-        match stream.read(&mut byte) {
-            Ok(0) => {
-                return Err(cli_err(
-                    "server closed the connection (idle timeout or drain?)",
-                ))
-            }
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    return Ok(String::from_utf8_lossy(&buf).into_owned());
-                }
-                buf.push(byte[0]);
-                if buf.len() > proto::MAX_LINE_BYTES {
-                    return Err(cli_err("oversized response line"));
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(cli_err(format!("read failed: {e}"))),
-        }
+    reader
+        .read_until(b'\n', &mut buf)
+        .map_err(|e| cli_err(format!("read failed: {e}")))?;
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        return Ok(String::from_utf8_lossy(&buf).into_owned());
     }
+    if buf.len() > proto::MAX_LINE_BYTES {
+        return Err(cli_err("oversized response line"));
+    }
+    Err(cli_err(
+        "server closed the connection (idle timeout or drain?)",
+    ))
 }
 
 /// One request/response round trip on a fresh connection.
@@ -87,7 +81,7 @@ fn read_line(stream: &mut TcpStream) -> Result<String, ApexError> {
 pub fn request(addr: &str, line: &str, timeout: Duration) -> Result<Fields, ApexError> {
     let mut stream = connect(addr, timeout)?;
     send_line(&mut stream, line)?;
-    let response = read_line(&mut stream)?;
+    let response = read_line(&stream)?;
     proto::decode(&response).ok_or_else(|| cli_err(format!("undecodable response: {response}")))
 }
 

@@ -15,6 +15,21 @@ use std::collections::BTreeMap;
 /// (servers may configure a lower bound; DFG text dominates the budget).
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
+/// Writes `line` and its terminating newline in **one** write. Both peers
+/// set `TCP_NODELAY`, and a line split over two writes would still cost
+/// an extra segment per message; without nodelay, Nagle's algorithm holds
+/// the second write until the peer's delayed ACK (up to 40 ms) arrives.
+///
+/// # Errors
+/// The underlying write failure.
+pub fn write_line(w: &mut impl std::io::Write, line: &str) -> std::io::Result<()> {
+    let mut framed = Vec::with_capacity(line.len() + 1);
+    framed.extend_from_slice(line.as_bytes());
+    framed.push(b'\n');
+    w.write_all(&framed)?;
+    w.flush()
+}
+
 /// Escapes a string for embedding in one wire line (same discipline as
 /// the journal encoder: `\\ \" \n \r \t` only).
 pub fn esc(s: &str) -> String {

@@ -1,18 +1,23 @@
-//! The daemon: accept loop, connection handling, admission control,
+//! The daemon: acceptor, connection handling, admission control,
 //! backpressure, and graceful drain.
 //!
 //! Threading model (three tiers, deliberately separated so no tier can
 //! starve another):
 //!
-//! * the **accept loop** (caller's thread) polls the listener
-//!   non-blockingly, feeds admitted jobs to the pool, and watches the
-//!   interrupt flag;
+//! * the **acceptor thread** blocks in `accept()` and spawns one
+//!   connection thread per client. The caller's thread only watches for
+//!   drain (the interrupt flag or the `drain` op) on a 20 ms tick, which
+//!   is off the request path, and stops the acceptor with a loopback
+//!   connect;
 //! * **connection threads** (one per client, capped) do all socket I/O
-//!   under read/write timeouts and a bounded line length — a slow or
-//!   malicious client burns its own thread for at most the idle timeout,
-//!   never a pool worker;
+//!   under read/write timeouts and a bounded line length, and hand each
+//!   admitted job straight to the pool — a slow or malicious client burns
+//!   its own thread for at most the idle timeout, never a pool worker;
 //! * **pool workers** ([`apex_par::WorkerPool`]) run the DSE jobs and
 //!   never touch a socket.
+//!
+//! Every socket has `TCP_NODELAY` set and every line goes out in one
+//! write ([`proto::write_line`]), so no response waits on a delayed ACK.
 //!
 //! Backpressure: admission is bounded by `queue_limit` over the job
 //! table's queued count. Past the limit the daemon sheds with a
@@ -29,12 +34,15 @@ use crate::state::{Admission, JobState, JobTable, PendingJob};
 use apex_core::{SweepJournal, VariantCache};
 use apex_fault::{ApexError, Provenance, Stage};
 use apex_par::WorkerPool;
-use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{ErrorKind, Read};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
+
+/// How often the caller's thread looks for a drain request, and how long
+/// the acceptor backs off after an accept error.
+const TICK: Duration = Duration::from_millis(20);
 
 /// Tuning knobs for one daemon instance. `Default` is sized for tests
 /// and small deployments; the CLI exposes the ones operators need.
@@ -96,13 +104,12 @@ struct Counters {
     refused_conns: AtomicU64,
 }
 
-/// State shared by the accept loop, connection threads, and job
-/// closures.
+/// State shared by the acceptor, connection threads, and job closures.
 struct Shared {
     table: JobTable,
-    /// Keys admitted by connection threads, waiting for the accept loop
-    /// to hand them to the pool (connection threads never own the pool).
-    inbox: Mutex<VecDeque<PendingJob>>,
+    /// Runs admitted jobs; connection threads submit to it directly.
+    pool: WorkerPool,
+    runner: Box<dyn JobRunner>,
     /// Set on drain: admissions are refused, running jobs see cancel.
     stop: Arc<AtomicBool>,
     /// Set by the `drain` op (the signal path sets the interrupt flag).
@@ -130,9 +137,10 @@ pub struct RunSummary {
 /// inject fast fakes.
 pub struct Server<R: JobRunner> {
     listener: TcpListener,
-    shared: Arc<Shared>,
-    runner: Arc<R>,
+    table: JobTable,
     pending: Vec<PendingJob>,
+    config: ServeConfig,
+    runner: R,
 }
 
 impl<R: JobRunner> Server<R> {
@@ -145,24 +153,13 @@ impl<R: JobRunner> Server<R> {
         let listener = TcpListener::bind(&config.addr).map_err(|e| {
             ApexError::with_source(Stage::Cli, e)
         })?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| ApexError::with_source(Stage::Cli, e))?;
         let (table, pending) = JobTable::new(journal, config.resume);
-        let shared = Arc::new(Shared {
-            table,
-            inbox: Mutex::new(VecDeque::new()),
-            stop: Arc::new(AtomicBool::new(false)),
-            drain_requested: AtomicBool::new(false),
-            conns: AtomicUsize::new(0),
-            counters: Counters::default(),
-            config,
-        });
         Ok(Server {
             listener,
-            shared,
-            runner: Arc::new(runner),
+            table,
             pending,
+            config,
+            runner,
         })
     }
 
@@ -180,158 +177,206 @@ impl<R: JobRunner> Server<R> {
     /// `apex_fault::interrupt`, or a client `drain` op), then shuts the
     /// pool down and reports. Blocks the calling thread.
     pub fn run(self) -> RunSummary {
-        let workers = if self.shared.config.workers == 0 {
+        let Server {
+            listener,
+            table,
+            pending,
+            config,
+            runner,
+        } = self;
+        let workers = if config.workers == 0 {
             apex_par::default_jobs()
         } else {
-            self.shared.config.workers
+            config.workers
         };
-        let pool = WorkerPool::new(workers);
+        let addr = listener.local_addr().ok();
         log_line(
             "INFO",
             &format!(
                 "listening on {} ({} workers, queue limit {})",
-                self.local_addr()
-                    .map(|a| a.to_string())
-                    .unwrap_or_else(|_| self.shared.config.addr.clone()),
+                addr.map(|a| a.to_string())
+                    .unwrap_or_else(|| config.addr.clone()),
                 workers,
-                self.shared.config.queue_limit
+                config.queue_limit
             ),
         );
-        // resumed jobs go through the same inbox as fresh admissions
-        if !self.pending.is_empty() {
+        let shared = Arc::new(Shared {
+            table,
+            pool: WorkerPool::new(workers),
+            runner: Box::new(runner),
+            stop: Arc::new(AtomicBool::new(false)),
+            drain_requested: AtomicBool::new(false),
+            conns: AtomicUsize::new(0),
+            counters: Counters::default(),
+            config,
+        });
+        if !pending.is_empty() {
             log_line(
                 "INFO",
-                &format!("resuming {} unfinished job(s) from the journal", self.pending.len()),
+                &format!("resuming {} unfinished job(s) from the journal", pending.len()),
             );
-            let mut inbox = lock_inbox(&self.shared.inbox);
-            inbox.extend(self.pending.iter().cloned());
-        }
-        loop {
-            if apex_fault::interrupt::interrupted()
-                || self.shared.drain_requested.load(Ordering::Relaxed)
-            {
-                break;
-            }
-            self.dispatch_inbox(&pool);
-            match self.listener.accept() {
-                Ok((stream, peer)) => {
-                    #[cfg(feature = "fault-injection")]
-                    if apex_fault::failpoints::should_fire("serve::accept_error") {
-                        // injected transient accept failure: the daemon
-                        // must drop the connection and keep serving
-                        log_line("WARN", &format!("accept error (injected), dropped {peer}"));
-                        drop(stream);
-                        continue;
-                    }
-                    self.spawn_conn(stream, peer);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) => {
-                    // transient accept errors (EMFILE, aborted handshake)
-                    // must not kill the daemon
-                    log_line("WARN", &format!("accept error: {e}"));
-                    std::thread::sleep(Duration::from_millis(20));
-                }
+            for job in pending {
+                dispatch(&shared, job);
             }
         }
-        self.drain(pool)
-    }
-
-    /// Hands admitted jobs to the pool (only the accept loop touches the
-    /// pool, so drain can consume it).
-    fn dispatch_inbox(&self, pool: &WorkerPool) {
-        loop {
-            let job = {
-                let mut inbox = lock_inbox(&self.shared.inbox);
-                inbox.pop_front()
-            };
-            let Some(job) = job else { return };
-            let shared = Arc::clone(&self.shared);
-            let runner = Arc::clone(&self.runner);
-            let submitted = pool.submit(move || run_job(&shared, runner.as_ref(), &job));
-            if !submitted {
-                // pool already shut down; the admission is journaled and
-                // will re-run on resume
-                return;
-            }
-        }
-    }
-
-    /// Spawns one connection thread (or turns the client away when the
-    /// connection cap is reached).
-    fn spawn_conn(&self, mut stream: TcpStream, peer: std::net::SocketAddr) {
-        let shared = Arc::clone(&self.shared);
-        if shared.conns.load(Ordering::Relaxed) >= shared.config.max_conns {
-            shared.counters.refused_conns.fetch_add(1, Ordering::Relaxed);
-            let line = proto::err_response(
-                "overloaded",
-                &[(
-                    "retry_after_ms",
-                    shared.config.retry_after.as_millis().to_string(),
-                )],
-            );
-            let _ = stream.set_write_timeout(Some(shared.config.idle_timeout));
-            let _ = stream.write_all(line.as_bytes());
-            let _ = stream.write_all(b"\n");
-            return;
-        }
-        shared.conns.fetch_add(1, Ordering::Relaxed);
-        let builder = std::thread::Builder::new().name(format!("apex-conn-{peer}"));
-        let spawned = builder.spawn(move || {
-            handle_conn(&shared, stream);
-            shared.conns.fetch_sub(1, Ordering::Relaxed);
-        });
-        if spawned.is_err() {
-            // thread spawn failure: release the slot and move on
-            self.shared.conns.fetch_sub(1, Ordering::Relaxed);
-            log_line("WARN", &format!("cannot spawn connection thread for {peer}"));
-        }
-    }
-
-    /// Graceful drain: refuse admissions, abandon queued pool jobs
-    /// (journaled — resume re-runs them), cancel running jobs
-    /// cooperatively, then account what is left.
-    fn drain(self, pool: WorkerPool) -> RunSummary {
-        log_line("INFO", "draining: admissions closed");
-        self.shared.stop.store(true, Ordering::SeqCst);
-        // queued-but-undispatched inbox jobs stay Queued in the table
-        pool.shutdown(false);
-        // running jobs have now either concluded or reported Cancelled
-        let (_, _, done, failed, cancelled) = self.shared.table.counts();
-        let unfinished = self.shared.table.unfinished();
-        let summary = RunSummary {
-            concluded: (done + failed) as u64,
-            unfinished,
-            shed: self.shared.counters.shed.load(Ordering::Relaxed),
-            timeouts: self.shared.counters.timeouts.load(Ordering::Relaxed),
+        let acceptor = {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("apex-accept".to_owned())
+                .spawn(move || accept_loop(&shared, &listener))
         };
-        log_line(
-            "INFO",
-            &format!(
-                "drained: {} concluded, {} unfinished ({} cancelled mid-flight), {} shed",
-                summary.concluded, summary.unfinished, cancelled, summary.shed
-            ),
-        );
-        if unfinished > 0 {
-            log_line("INFO", "restart with --resume to finish the remaining jobs");
+        match &acceptor {
+            Ok(_) => {
+                while !(apex_fault::interrupt::interrupted()
+                    || shared.drain_requested.load(Ordering::Relaxed))
+                {
+                    std::thread::sleep(TICK);
+                }
+            }
+            Err(e) => log_line("WARN", &format!("cannot spawn the acceptor thread: {e}")),
         }
-        summary
+        drain(&shared, addr, acceptor.ok())
     }
 }
 
-/// Recovers a poisoned inbox lock (pushes/pops are single operations;
-/// the queue is always consistent).
-fn lock_inbox(m: &Mutex<VecDeque<PendingJob>>) -> std::sync::MutexGuard<'_, VecDeque<PendingJob>> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
+/// Accepts connections until drain sets the stop flag (drain then
+/// connects once to wake the blocking `accept`).
+fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
+    loop {
+        let accepted = listener.accept();
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok((stream, peer)) => {
+                #[cfg(feature = "fault-injection")]
+                if apex_fault::failpoints::should_fire("serve::accept_error") {
+                    // injected transient accept failure: the daemon
+                    // must drop the connection and keep serving
+                    log_line("WARN", &format!("accept error (injected), dropped {peer}"));
+                    drop(stream);
+                    continue;
+                }
+                spawn_conn(shared, stream, peer);
+            }
+            Err(e) => {
+                // transient accept errors (EMFILE, aborted handshake)
+                // must not kill the daemon, nor spin it
+                log_line("WARN", &format!("accept error: {e}"));
+                std::thread::sleep(TICK);
+            }
+        }
+    }
+}
+
+/// Wakes the acceptor out of its blocking `accept` with a loopback
+/// connect and joins it. If the connect fails the acceptor is left
+/// blocked (it exits with the process) rather than hanging the drain.
+fn stop_acceptor(addr: Option<SocketAddr>, acceptor: std::thread::JoinHandle<()>) {
+    let woken = addr.is_some_and(|mut a| {
+        if a.ip().is_unspecified() {
+            let loopback: std::net::IpAddr = if a.is_ipv4() {
+                std::net::Ipv4Addr::LOCALHOST.into()
+            } else {
+                std::net::Ipv6Addr::LOCALHOST.into()
+            };
+            a.set_ip(loopback);
+        }
+        TcpStream::connect_timeout(&a, Duration::from_secs(1)).is_ok()
+    });
+    if woken {
+        let _ = acceptor.join();
+    } else {
+        log_line("WARN", "cannot wake the acceptor; leaving it blocked");
+    }
+}
+
+/// Spawns one connection thread (or turns the client away when the
+/// connection cap is reached).
+fn spawn_conn(shared: &Arc<Shared>, mut stream: TcpStream, peer: SocketAddr) {
+    let _ = stream.set_nodelay(true);
+    if shared.conns.load(Ordering::Relaxed) >= shared.config.max_conns {
+        shared.counters.refused_conns.fetch_add(1, Ordering::Relaxed);
+        let line = proto::err_response(
+            "overloaded",
+            &[(
+                "retry_after_ms",
+                shared.config.retry_after.as_millis().to_string(),
+            )],
+        );
+        let _ = stream.set_write_timeout(Some(shared.config.idle_timeout));
+        let _ = proto::write_line(&mut stream, &line);
+        return;
+    }
+    shared.conns.fetch_add(1, Ordering::Relaxed);
+    let conn = Arc::clone(shared);
+    let builder = std::thread::Builder::new().name(format!("apex-conn-{peer}"));
+    let spawned = builder.spawn(move || {
+        handle_conn(&conn, stream);
+        conn.conns.fetch_sub(1, Ordering::Relaxed);
+    });
+    if spawned.is_err() {
+        // thread spawn failure: release the slot and move on
+        shared.conns.fetch_sub(1, Ordering::Relaxed);
+        log_line("WARN", &format!("cannot spawn connection thread for {peer}"));
+    }
+}
+
+/// Graceful drain: refuse admissions, stop the acceptor, abandon queued
+/// pool jobs (journaled — resume re-runs them), cancel running jobs
+/// cooperatively, then account what is left.
+fn drain(
+    shared: &Shared,
+    addr: Option<SocketAddr>,
+    acceptor: Option<std::thread::JoinHandle<()>>,
+) -> RunSummary {
+    log_line("INFO", "draining: admissions closed");
+    shared.stop.store(true, Ordering::SeqCst);
+    if let Some(acceptor) = acceptor {
+        stop_acceptor(addr, acceptor);
+    }
+    // running jobs see the stop flag; queued ones stay Queued for resume
+    shared.pool.shutdown(false);
+    let (_, _, done, failed, cancelled) = shared.table.counts();
+    let unfinished = shared.table.unfinished();
+    let summary = RunSummary {
+        concluded: (done + failed) as u64,
+        unfinished,
+        shed: shared.counters.shed.load(Ordering::Relaxed),
+        timeouts: shared.counters.timeouts.load(Ordering::Relaxed),
+    };
+    let cache = VariantCache::shared();
+    log_line(
+        "INFO",
+        &format!(
+            "drained: {} concluded, {} unfinished ({} cancelled mid-flight), {} shed; \
+             cache: {} hit(s), {} miss(es)",
+            summary.concluded,
+            summary.unfinished,
+            cancelled,
+            summary.shed,
+            cache.hits(),
+            cache.misses()
+        ),
+    );
+    if unfinished > 0 {
+        log_line("INFO", "restart with --resume to finish the remaining jobs");
+    }
+    summary
+}
+
+/// Hands an admitted job to the pool. A job that races drain is refused
+/// by the shut-down pool and stays queued in the journal, so `--resume`
+/// re-runs it.
+fn dispatch(shared: &Arc<Shared>, job: PendingJob) {
+    let job_shared = Arc::clone(shared);
+    if !shared.pool.submit(move || run_job(&job_shared, &job)) {
+        log_line("INFO", "pool closed by drain; the job stays queued for --resume");
     }
 }
 
 /// Runs one job on a pool worker.
-fn run_job<R: JobRunner>(shared: &Shared, runner: &R, job: &PendingJob) {
+fn run_job(shared: &Shared, job: &PendingJob) {
     if shared.stop.load(Ordering::Relaxed) {
         // drain raced the dispatch: leave the job Queued for resume
         return;
@@ -355,7 +400,7 @@ fn run_job<R: JobRunner>(shared: &Shared, runner: &R, job: &PendingJob) {
         deadline,
         cancel: Arc::clone(&shared.stop),
     };
-    match runner.run(&spec) {
+    match shared.runner.run(&spec) {
         Ok(report) if report.provenance == Provenance::Cancelled => {
             // interrupted by drain: not journaled, resume re-runs it
             shared.table.cancel(job.key);
@@ -421,7 +466,7 @@ impl LineReader {
 }
 
 /// Serves one connection until EOF, timeout, oversized line, or drain.
-fn handle_conn(shared: &Shared, stream: TcpStream) {
+fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
     let idle = shared.config.idle_timeout;
     if stream.set_read_timeout(Some(idle)).is_err() || stream.set_write_timeout(Some(idle)).is_err()
     {
@@ -444,14 +489,14 @@ fn handle_conn(shared: &Shared, stream: TcpStream) {
                     continue;
                 }
                 let response = handle_request(shared, &line);
-                if write_line(&mut writer, &response).is_err() {
+                if proto::write_line(&mut writer, &response).is_err() {
                     return;
                 }
             }
             ReadOutcome::Eof | ReadOutcome::Error => return,
             ReadOutcome::TooLong => {
                 shared.counters.bad_lines.fetch_add(1, Ordering::Relaxed);
-                let _ = write_line(
+                let _ = proto::write_line(
                     &mut writer,
                     &proto::err_response(
                         "line_too_long",
@@ -463,21 +508,15 @@ fn handle_conn(shared: &Shared, stream: TcpStream) {
             ReadOutcome::IdleTimeout => {
                 shared.counters.timeouts.fetch_add(1, Ordering::Relaxed);
                 log_line("WARN", "idle connection disconnected");
-                let _ = write_line(&mut writer, &proto::err_response("idle_timeout", &[]));
+                let _ = proto::write_line(&mut writer, &proto::err_response("idle_timeout", &[]));
                 return;
             }
         }
     }
 }
 
-fn write_line(w: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    w.write_all(line.as_bytes())?;
-    w.write_all(b"\n")?;
-    w.flush()
-}
-
 /// Dispatches one parsed request to a response line.
-fn handle_request(shared: &Shared, line: &str) -> String {
+fn handle_request(shared: &Arc<Shared>, line: &str) -> String {
     let request = match proto::parse_request(line) {
         Ok(r) => r,
         Err(e) => {
@@ -587,8 +626,13 @@ fn draining(shared: &Shared) -> bool {
 }
 
 /// Admission control: drain and backpressure checks, then write-ahead
-/// journal + table insert + inbox push.
-fn handle_submit(shared: &Shared, tenant: &str, graph: &str, deadline_ms: Option<u64>) -> String {
+/// journal + table insert + hand-off to the pool.
+fn handle_submit(
+    shared: &Arc<Shared>,
+    tenant: &str,
+    graph: &str,
+    deadline_ms: Option<u64>,
+) -> String {
     if draining(shared) {
         return proto::err_response("draining", &[]);
     }
@@ -616,13 +660,13 @@ fn handle_submit(shared: &Shared, tenant: &str, graph: &str, deadline_ms: Option
         Ok((key, admission)) => {
             if admission == Admission::New {
                 shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-                let mut inbox = lock_inbox(&shared.inbox);
-                inbox.push_back(PendingJob {
+                let job = PendingJob {
                     key,
                     tenant: tenant.to_owned(),
                     graph: graph.to_owned(),
                     deadline_ms,
-                });
+                };
+                dispatch(shared, job);
             }
             let state = shared
                 .table

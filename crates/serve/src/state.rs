@@ -78,12 +78,12 @@ impl JobState {
     }
 }
 
-/// One admitted job.
+/// One admitted job. The DFG text and deadline are not kept: only a
+/// resumed daemon needs them, and it reads them from the journal's `S`
+/// record.
 #[derive(Debug, Clone)]
 struct JobEntry {
     tenant: String,
-    graph: String,
-    deadline_ms: Option<u64>,
     state: JobState,
 }
 
@@ -111,8 +111,7 @@ pub enum Admission {
     Concluded,
 }
 
-/// Thread-safe job table shared by the accept loop, connection threads,
-/// and pool workers.
+/// Thread-safe job table shared by connection threads and pool workers.
 #[derive(Debug)]
 pub struct JobTable {
     jobs: Mutex<BTreeMap<u64, JobEntry>>,
@@ -141,15 +140,8 @@ impl JobTable {
         if resume {
             let replay = journal.replay();
             for (key, rec) in replay.completed() {
-                if let Some(entry) = decode_record(rec) {
-                    if let JobState::Queued = entry.state {
-                        pending.push(PendingJob {
-                            key,
-                            tenant: entry.tenant.clone(),
-                            graph: entry.graph.clone(),
-                            deadline_ms: entry.deadline_ms,
-                        });
-                    }
+                if let Some((entry, job)) = decode_record(key, rec) {
+                    pending.extend(job);
                     jobs.insert(key, entry);
                 }
             }
@@ -197,8 +189,6 @@ impl JobTable {
             key,
             JobEntry {
                 tenant: tenant.to_owned(),
-                graph: graph.to_owned(),
-                deadline_ms,
                 state: JobState::Queued,
             },
         );
@@ -333,10 +323,18 @@ fn encode_submission(tenant: &str, graph: &str, deadline_ms: Option<u64>) -> Str
     proto::encode(&f)
 }
 
-/// Rebuilds a job entry from its latest journal record; `None` drops
-/// records this version cannot interpret (forward compatibility: an
-/// unknown prefix must not wedge the restart).
-fn decode_record(rec: &JournalRecord) -> Option<JobEntry> {
+/// Rebuilds a job entry from its latest journal record, with the job to
+/// re-run when that record is an admission; `None` drops records this
+/// version cannot interpret (forward compatibility: an unknown prefix
+/// must not wedge the restart).
+fn decode_record(key: u64, rec: &JournalRecord) -> Option<(JobEntry, Option<PendingJob>)> {
+    let concluded = |state| {
+        let entry = JobEntry {
+            tenant: String::new(),
+            state,
+        };
+        Some((entry, None))
+    };
     if let Some(body) = rec.payload.strip_prefix(REC_SUBMIT) {
         let f = proto::decode(body)?;
         let graph = f.get("graph")?.clone();
@@ -345,33 +343,28 @@ fn decode_record(rec: &JournalRecord) -> Option<JobEntry> {
             None => None,
             Some(v) => Some(v.parse::<u64>().ok()?),
         };
-        return Some(JobEntry {
+        let entry = JobEntry {
+            tenant: tenant.clone(),
+            state: JobState::Queued,
+        };
+        let job = PendingJob {
+            key,
             tenant,
             graph,
             deadline_ms,
-            state: JobState::Queued,
-        });
+        };
+        return Some((entry, Some(job)));
     }
     if let Some(body) = rec.payload.strip_prefix(REC_DONE) {
-        return Some(JobEntry {
-            tenant: String::new(),
-            graph: String::new(),
-            deadline_ms: None,
-            state: JobState::Done {
-                payload: body.to_owned(),
-                provenance: rec.provenance,
-                degradations: rec.degradations.clone(),
-            },
+        return concluded(JobState::Done {
+            payload: body.to_owned(),
+            provenance: rec.provenance,
+            degradations: rec.degradations.clone(),
         });
     }
     if let Some(body) = rec.payload.strip_prefix(REC_ERROR) {
-        return Some(JobEntry {
-            tenant: String::new(),
-            graph: String::new(),
-            deadline_ms: None,
-            state: JobState::Failed {
-                error: body.to_owned(),
-            },
+        return concluded(JobState::Failed {
+            error: body.to_owned(),
         });
     }
     None

@@ -509,3 +509,118 @@ fn draining_daemon_refuses_new_admissions() {
     assert!(line2.contains("\"err\":\"draining\""), "got: {line2}");
     handle.join().expect("server thread");
 }
+
+/// Fifty sequential `status` round trips on one connection take well
+/// under a second. A response written as two segments on a socket
+/// without `TCP_NODELAY` waits for the client's delayed ACK before its
+/// second segment leaves (up to 40 ms a round trip, about 2 s here).
+#[test]
+fn sequential_round_trips_do_not_wait_on_delayed_acks() {
+    let (journal, _path) = scratch_journal("nodelay");
+    let (runner, _) = MockRunner::new(Duration::from_millis(1));
+    let (addr, handle) = start(ServeConfig::default(), journal, runner);
+    let accepted = req(&addr, &submit_line("t", "g nodelay\n"));
+    let job = accepted.get("job").cloned().expect("job id");
+    let mut f = proto::Fields::new();
+    f.insert("op".to_owned(), "status".to_owned());
+    f.insert("job".to_owned(), job);
+    let status = format!("{}\n", proto::encode(&f));
+
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    let mut lines = BufReader::new(stream.try_clone().expect("clone"));
+    let started = Instant::now();
+    for _ in 0..50 {
+        stream.write_all(status.as_bytes()).expect("write");
+        let mut line = String::new();
+        lines.read_line(&mut line).expect("response");
+        assert!(line.contains("\"ok\":\"status\""), "got: {line}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "50 round trips took {elapsed:?}"
+    );
+
+    drain(&addr);
+    handle.join().expect("server thread");
+}
+
+/// A real `apex serve` daemon (own process, own cache and journal) runs
+/// mobilenet for one tenant twice with different deadlines. The deadline
+/// is not part of the variant-cache key, so the second job hits both of
+/// its entries (the PE Spec search and the baseline) and returns the same
+/// payload. Under `fault-injection` the variant cache is bypassed.
+#[cfg(not(feature = "fault-injection"))]
+#[test]
+fn repeat_job_with_a_new_deadline_hits_the_variant_cache() {
+    use std::process::{Child, Command, Stdio};
+
+    /// Kills the daemon if an assertion fails before it drains.
+    struct Daemon(Child);
+    impl Drop for Daemon {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    let scratch = std::env::temp_dir().join(format!("apex-serve-repeat-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&scratch);
+    let spawned = Command::new(env!("CARGO_BIN_EXE_apex"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
+        .env("APEX_CACHE_DIR", scratch.join("cache"))
+        .env("APEX_JOURNAL_DIR", scratch.join("journal"))
+        .env_remove("APEX_CACHE")
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn apex serve");
+    let mut daemon = Daemon(spawned);
+    let mut log = BufReader::new(daemon.0.stderr.take().expect("stderr")).lines();
+    let addr = log
+        .by_ref()
+        .map_while(Result::ok)
+        .find_map(|l| {
+            let rest = l.split("listening on ").nth(1)?;
+            rest.split_whitespace().next().map(str::to_owned)
+        })
+        .expect("the daemon logs its address");
+    let log = std::thread::spawn(move || log.map_while(Result::ok).collect::<Vec<_>>());
+
+    let graph = apex::ir::to_text(&apex::apps::mobilenet_layer().graph);
+    let stat = |name: &str| -> u64 {
+        let stats = req(&addr, "{\"op\":\"stats\"}");
+        stats.get(name).and_then(|v| v.parse().ok()).expect("stat")
+    };
+    let run = |deadline_ms: u64| {
+        let result =
+            client::submit_and_wait(&addr, "t", &graph, Some(deadline_ms), Duration::from_secs(300))
+                .expect("submit");
+        assert_eq!(result.get("ok").map(String::as_str), Some("result"), "{result:?}");
+        result.get("payload").cloned().expect("payload")
+    };
+    let first = run(60_000);
+    let (hits, misses) = (stat("cache_hits"), stat("cache_misses"));
+    let second = run(90_000);
+    assert_eq!(second, first, "same work, same payload");
+    assert_eq!(
+        (stat("cache_hits") - hits, stat("cache_misses") - misses),
+        (2, 0),
+        "the repeat hits the search and the baseline entries"
+    );
+
+    drain(&addr);
+    assert!(daemon.0.wait().expect("daemon exit").success());
+    let log = log.join().expect("log reader");
+    assert!(
+        log.iter()
+            .any(|l| l.contains("drained:") && l.contains("cache: 2 hit(s), 2 miss(es)")),
+        "the drain line reports the cache: {log:#?}"
+    );
+    assert!(!log.iter().any(|l| l.contains("ERROR")), "{log:#?}");
+    let _ = std::fs::remove_dir_all(&scratch);
+}
